@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from mpmath import iv
-
 from .errors import (
     DependentInputsError,
     NonPositiveMultiplicityError,
@@ -37,7 +35,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldTower, compare_real
 from .mason import casoratian, linearly_independent
-from .poly import FactoredPoly, Polynomial, multi_gcd
+from .poly import FactoredPoly, Polynomial, multi_gcd, shift_gcd_factor
 from .report import CheckReport, Hypothesis, Statement
 
 DEFAULT_PRECISION_BITS = 40
@@ -211,12 +209,19 @@ class CountingValue:
     error: float
 
 
+# mpmath is imported where an integral is computed, not at package import,
+# so CLI calls that never integrate do not pay for loading it.
+
 def _iv_fraction(q: Fraction):
+    from mpmath import iv
+
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
 def _iv_real_enclosure(x: FieldElement, bits: int):
     """Interval containing the real tower element x, endpoints widened outward."""
+    from mpmath import iv
+
     if x.is_rational():
         return _iv_fraction(x.as_fraction())
     box = x.embed(bits)
@@ -232,6 +237,8 @@ def _integrate_weights(
     precision_bits: int,
 ) -> tuple[float, float]:
     """Closed-form sum of c_w log(r/|w|) over |w| <= r, with c_0 log r at 0."""
+    from mpmath import iv
+
     if r <= 0:
         raise ValueError("integrated counting needs a positive radius")
     r_sq = r * r
@@ -445,8 +452,7 @@ def check_ord_inequality(
         raise DependentInputsError("Casoratian vanishes; summands are dependent")
 
     # certificate for zeros of G lying only on the dense sum
-    sum_shifts = [total.taylor_shift(kappa_el * i) for i in range(m)]
-    M = multi_gcd(sum_shifts)
+    M = shift_gcd_factor(total, kappa_el, m)
     certificate = (C % M).is_zero()
 
     candidates: set[FieldElement] = set()

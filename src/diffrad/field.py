@@ -133,16 +133,33 @@ def _sub(a, da, b, db):
 
 
 def _mul(a, da, b, db, table, tden):
-    nzb = [(t, y) for t, y in enumerate(b) if y]
-    acc = [0] * len(a)
-    for s, x in enumerate(a):
-        if x:
+    return _muladd((0,) * len(a), 1, a, da, b, db, table, tden)
+
+
+def _muladd(a, da, x, dx, y, dy, table, tden):
+    """a + x*y with one canonicalisation: a is scaled to the product's
+    denominator and the basis-table products accumulate into it."""
+    nzy = [(t, v) for t, v in enumerate(y) if v]
+    if not nzy or not any(x):
+        return a, da
+    den = dx * dy * tden
+    if any(a):
+        g = gcd(da, den)
+        fa, fp = den // g, da // g
+        acc = [v * fa for v in a] if fa != 1 else list(a)
+        den *= fp
+    else:
+        fp = 1
+        acc = [0] * len(a)
+    for s, u in enumerate(x):
+        if u:
             row = table[s]
-            for t, y in nzb:
-                xy = x * y
-                for u, c in row[t]:
-                    acc[u] += xy * c
-    return _canon(acc, da * db * tden)
+            u *= fp
+            for t, v in nzy:
+                uv = u * v
+                for w, c in row[t]:
+                    acc[w] += uv * c
+    return _canon(acc, den)
 
 
 def _join(lo, dlo, hi, dhi):
@@ -386,17 +403,9 @@ class FieldTower:
     def describe(self) -> str:
         if not self._gens:
             return "Q"
-        names = []
-        for idx in range(self.depth):
-            rad = self.gen_radicand(idx)
-            if rad.is_rational():
-                q = rad.as_fraction()
-                names.append("i" if q == -1 else f"sqrt({q})")
-            else:
-                from .parser import print_element  # local import, no cycle at load
+        from .parser import _gen_symbols  # local import, no cycle at load
 
-                names.append(f"sqrt({print_element(rad)})")
-        return "Q(" + ", ".join(names) + ")"
+        return "Q(" + ", ".join(_gen_symbols(self)) + ")"
 
     def __repr__(self):
         return f"FieldTower({self.describe()})"
@@ -668,6 +677,17 @@ def _make(tower: FieldTower, num: tuple, den: int) -> FieldElement:
     x._num = num
     x._den = den
     return x
+
+
+def muladd(acc: FieldElement, x: FieldElement, y: FieldElement) -> FieldElement:
+    """acc + x*y for three elements of one tower, canonicalised once.
+
+    The polynomial kernels run on this; it equals `acc + x * y` exactly
+    but builds no intermediate product.
+    """
+    tw = acc.tower
+    num, den = _muladd(acc._num, acc._den, x._num, x._den, y._num, y._den, tw._table, tw._tden)
+    return _make(tw, num, den)
 
 
 def compare_real(a: FieldElement, b: Scalar) -> int:

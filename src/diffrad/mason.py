@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ZeroShiftError
-from .poly import Polynomial, gcd, multi_gcd
+from .poly import Polynomial, gcd, multi_gcd, shift_gcd_factor  # noqa: F401 (re-export)
 from .radical import diff_radical_m
 from .report import CheckReport, Hypothesis, Statement
 
@@ -141,13 +141,6 @@ def _coprime_hypothesis(ps: Sequence[Polynomial], mode: str) -> Hypothesis:
     else:
         raise ValueError(f"unknown coprimality mode {mode!r}")
     return Hypothesis(f"coprime ({mode})", ok, detail)
-
-
-def shift_gcd_factor(p: Polynomial, kappa, m: int) -> Polynomial:
-    """Monic gcd of p(z), p(z+kappa), ..., p(z+(m-1)kappa)."""
-    tower = p.tower
-    kappa = tower._coerce(kappa)
-    return multi_gcd([p.taylor_shift(kappa * j) for j in range(m)])
 
 
 def check_mason_triple(a: Polynomial, b: Polynomial, c: Polynomial, kappa) -> CheckReport:

@@ -263,14 +263,19 @@ def iter_objects(lines: Iterable[str]):
 
 
 def _gen_symbols(tower: FieldTower) -> list[str]:
-    names = []
+    """Print names of the adjoined roots, e.g. ['i', 'sqrt(2)'].
+
+    Radicand idx lies in the subtower on roots 0..idx-1, so it prints with
+    the names built so far and never asks for its own.
+    """
+    names: list[str] = []
     for idx in range(tower.depth):
         rad = tower.gen_radicand(idx)
         if rad.is_rational():
             q = rad.as_fraction()
             names.append("i" if q == -1 else f"sqrt({q})")
         else:
-            names.append(f"sqrt({print_element(rad)})")
+            names.append(f"sqrt({_print_element(rad, names)})")
     return names
 
 
@@ -311,10 +316,13 @@ def _product_atoms(coord: Fraction, mask: int, tower: FieldTower, symbols) -> tu
 
 def print_element(x: FieldElement) -> str:
     """Canonical sum form of a tower element, e.g. `1/2 + sqrt(2)*i`."""
+    return _print_element(x, _gen_symbols(x.tower))
+
+
+def _print_element(x: FieldElement, symbols: list[str]) -> str:
     terms = _basis_terms(x)
     if not terms:
         return "0"
-    symbols = _gen_symbols(x.tower)
     parts = []
     for n, (coord, mask) in enumerate(terms):
         sign, atoms = _product_atoms(coord, mask, x.tower, symbols)
@@ -354,7 +362,7 @@ def print_poly(p: Polynomial) -> str:
                     atoms.append(zpart)
                 rendered.append((sign, "*".join(atoms)))
         else:
-            inner = print_element(c)
+            inner = _print_element(c, symbols)
             rendered.append((1, f"({inner})*{zpart}"))
     first_sign, first_body = rendered[0]
     out = [first_body if first_sign > 0 else f"-{first_body}"]

@@ -12,7 +12,7 @@ from .errors import (
     ZeroPolynomialError,
     ZeroShiftError,
 )
-from .field import FieldElement, FieldTower
+from .field import FieldElement, FieldTower, muladd
 
 NEG_INF = float("-inf")
 
@@ -89,6 +89,11 @@ class Polynomial:
 
     # -- ring operations -----------------------------------------------------
 
+    def _same_tower(self, q: "Polynomial") -> "Polynomial":
+        """q with its coefficients in this polynomial's tower (the kernels
+        below combine coordinates of one tower only)."""
+        return q if q.tower is self.tower else Polynomial(self.tower, q.coeffs)
+
     def _coerce_operand(self, other):
         if isinstance(other, Polynomial):
             return other
@@ -128,13 +133,12 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or q.is_zero():
             return Polynomial.zero(self.tower)
-        zero = self.tower.zero
-        out = [zero] * (len(self.coeffs) + len(q.coeffs) - 1)
+        q = self._same_tower(q)
+        out = [self.tower.zero] * (len(self.coeffs) + len(q.coeffs) - 1)
         for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(q.coeffs):
-                out[j + k] = out[j + k] + a * b
+            if a:
+                for k, b in enumerate(q.coeffs, j):
+                    out[k] = muladd(out[k], a, b)
         return Polynomial(self.tower, out)
 
     __rmul__ = __mul__
@@ -160,19 +164,25 @@ class Polynomial:
             raise ZeroPolynomialError("division by the zero polynomial")
         if self.degree < d.degree:
             return Polynomial.zero(self.tower), self
-        lead_inv = d.lead.inverse()
+        d = self._same_tower(d)
+        # The leading term of each step cancels by construction, so only the
+        # lower coefficients of the divisor are subtracted; a monic divisor,
+        # as in every Euclid step after the first, needs no scaling.
+        lead_inv = None if d.lead == 1 else d.lead.inverse()
+        low = d.coeffs[:-1]
         rem = list(self.coeffs)
-        dd = len(d.coeffs) - 1
+        dd = len(low)
         quot = [self.tower.zero] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
-            if c.is_zero():
+            if not c:
                 continue
-            q = c * lead_inv
+            q = c if lead_inv is None else c * lead_inv
             quot[k - dd] = q
-            for j, dc in enumerate(d.coeffs):
-                rem[k - dd + j] = rem[k - dd + j] - q * dc
-        return Polynomial(self.tower, quot), Polynomial(self.tower, rem)
+            neg_q = -q
+            for j, dc in enumerate(low, k - dd):
+                rem[j] = muladd(rem[j], neg_q, dc)
+        return Polynomial(self.tower, quot), Polynomial(self.tower, rem[:dd])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -189,8 +199,13 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             raise ZeroPolynomialError("the zero polynomial cannot be made monic")
-        inv = self.lead.inverse()
-        return Polynomial(self.tower, (c * inv for c in self.coeffs))
+        lead = self.coeffs[-1]
+        if lead == 1:
+            return self
+        inv = lead.inverse()
+        coeffs = [c * inv for c in self.coeffs[:-1]]
+        coeffs.append(self.tower.one)
+        return Polynomial(self.tower, coeffs)
 
     # -- calculus on the kappa-lattice ---------------------------------------
 
@@ -198,17 +213,24 @@ class Polynomial:
         x = self.tower._coerce(x)
         acc = self.tower.zero
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = muladd(c, acc, x)
         return acc
 
     def taylor_shift(self, kappa: CoeffLike) -> "Polynomial":
-        """p(z + kappa), exactly."""
+        """p(z + kappa), exactly.
+
+        Horner's scheme in place on one coefficient list (von zur Gathen and
+        Gerhard, Fast algorithms for Taylor shifts and certain difference
+        equations, 1997): pass i adds kappa * c[j+1] to c[j] for j from the
+        top down to i, n(n+1)/2 fused steps for degree n.
+        """
         kappa = self.tower._coerce(kappa)
-        acc = Polynomial.zero(self.tower)
-        shift = Polynomial(self.tower, (kappa, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * shift + c
-        return acc
+        c = list(self.coeffs)
+        top = len(c) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                c[j] = muladd(c[j], kappa, c[j + 1])
+        return Polynomial(self.tower, c)
 
     def delta(self, kappa: CoeffLike) -> "Polynomial":
         """Forward difference p(z + kappa) - p(z); kappa must be nonzero."""
@@ -234,7 +256,7 @@ class Polynomial:
             quot = []
             acc = self.tower.zero
             for c in reversed(coeffs):
-                acc = acc * w + c
+                acc = muladd(c, acc, w)
                 quot.append(acc)
             if not acc.is_zero():
                 return order
@@ -282,6 +304,26 @@ def multi_gcd(ps: Sequence[Polynomial]) -> Polynomial:
     return acc.monic()
 
 
+def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
+    """Monic gcd of p(z), p(z+kappa), ..., p(z+(m-1)kappa).
+
+    Chained through the shrinking cofactor: G_1 = gcd(p, p(z+kappa)) and
+    G_{k+1} = gcd(G_k, G_k(z+kappa)).  A shift is a ring automorphism that
+    keeps polynomials monic, so G_k(z+kappa) is the monic gcd of the shifts
+    1..k+1 and G_k is the gcd of the shifts 0..k.  Each step shifts only
+    G_k, always by kappa, and the chain stops once G_k is constant.
+    """
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"shift window must hold at least one shift, got {m!r}")
+    kappa = p.tower._coerce(kappa)
+    g = p.monic()
+    for _ in range(1, m):
+        if g.degree == 0:
+            break
+        g = gcd(g, g.taylor_shift(kappa))
+    return g
+
+
 class FactoredPoly:
     """gamma * prod (z - w_j)^{m_j} with distinct roots, kept canonical.
 
@@ -327,12 +369,17 @@ class FactoredPoly:
         return tuple(root for root, _ in self.factors)
 
     def expand(self) -> Polynomial:
-        out = Polynomial(self.tower, (self.leading,))
+        """The dense product, multiplied out in place one (z - root) at a time."""
+        zero = self.tower.zero
+        c = [self.leading]
         for root, mult in self.factors:
-            linear = Polynomial(self.tower, (-root, 1))
+            neg_root = -root
             for _ in range(mult):
-                out = out * linear
-        return out
+                # c * (z - root): shift up one degree, then add -root * c.
+                c.insert(0, zero)
+                for k in range(len(c) - 1):
+                    c[k] = muladd(c[k], neg_root, c[k + 1])
+        return Polynomial(self.tower, c)
 
     def scale_roots_and_leading(self, leading=None, shift=None):
         """Convenience for building transformed copies; internal use."""

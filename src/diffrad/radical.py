@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError, ZeroShiftError
-from .poly import FactoredPoly, Polynomial, gcd, multi_gcd
+from .poly import FactoredPoly, Polynomial, gcd, shift_gcd_factor
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ def diff_radical_m(p: Polynomial, kappa, m: int = 2) -> RadicalResult:
     kappa = _check_inputs(p, kappa)
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"radical order must be an integer >= 2, got {m!r}")
-    shifts = [p]
-    for j in range(1, m):
-        shifts.append(p.taylor_shift(kappa * j))
-    cofactor = multi_gcd(shifts)
+    cofactor = shift_gcd_factor(p, kappa, m)
     radical = p.divide_exact(cofactor).monic()
     return RadicalResult(
         radical=radical,

@@ -1,0 +1,108 @@
+"""Schoolbook polynomial oracles for the differential tests.
+
+Each works on coefficient lists with plain FieldElement `+`, `-`, `*` and
+`inverse()`, one operation at a time, and never calls the fused kernels of
+`poly.py`, so a fault there cannot hide in its own reference.
+"""
+
+from diffrad import Polynomial
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def mul(tower, a, b):
+    if not a or not b:
+        return []
+    out = [tower.zero] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return _trim(out)
+
+
+def add(tower, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] = out[k] + y
+    return _trim(out)
+
+
+def divmod_(tower, a, d):
+    """Long division, subtracting the whole divisor, leading term included."""
+    rem = list(a)
+    if len(rem) < len(d):
+        return [], _trim(rem)
+    lead_inv = d[-1].inverse()
+    dd = len(d) - 1
+    quot = [tower.zero] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        q = rem[k] * lead_inv
+        quot[k - dd] = q
+        for j, y in enumerate(d):
+            rem[k - dd + j] = rem[k - dd + j] - q * y
+    return _trim(quot), _trim(rem)
+
+
+def monic(tower, a):
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def gcd(tower, a, b):
+    while b:
+        a, b = b, divmod_(tower, a, b)[1]
+        if b:
+            b = monic(tower, b)
+    return monic(tower, a)
+
+
+def taylor_shift(p: Polynomial, kappa) -> Polynomial:
+    """p(z + kappa) by Horner: acc = acc * (z + kappa) + c."""
+    tower = p.tower
+    kappa = tower._coerce(kappa)
+    acc = []
+    for c in reversed(p.coeffs):
+        acc = add(tower, mul(tower, acc, [kappa, tower.one]), [c])
+    return Polynomial(tower, acc)
+
+
+def expand(f) -> Polynomial:
+    """gamma * prod (z - w)^m as a product of linear factors."""
+    tower = f.tower
+    out = [f.leading]
+    for root, mult in f.factors:
+        for _ in range(mult):
+            out = mul(tower, out, [-root, tower.one])
+    return Polynomial(tower, out)
+
+
+def poly_divmod(p: Polynomial, d: Polynomial):
+    quot, rem = divmod_(p.tower, list(p.coeffs), list(d.coeffs))
+    return Polynomial(p.tower, quot), Polynomial(p.tower, rem)
+
+
+def shift_gcd(p: Polynomial, kappa, m: int) -> Polynomial:
+    """Monic gcd of the explicit shifts p(z + j*kappa), j = 0..m-1."""
+    tower = p.tower
+    kappa = tower._coerce(kappa)
+    acc = list(p.coeffs)
+    for j in range(1, m):
+        shifted = list(taylor_shift(p, kappa * j).coeffs)
+        acc = gcd(tower, acc, shifted)
+    return Polynomial(tower, monic(tower, acc))
+
+
+def eval_at(p: Polynomial, x):
+    tower = p.tower
+    x = tower._coerce(x)
+    acc = tower.zero
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc

@@ -1,6 +1,9 @@
 """End-to-end command line behavior: output shapes and the exit contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,3 +220,14 @@ def test_json_schema_on_every_command(capsys, tmp_path):
         assert REQUIRED_KEYS <= set(doc), argv
         assert doc["command"] == argv[0]
         assert set(doc["session"]) == {"tower", "kappa", "seed", "coprimality"}
+
+
+def test_cli_import_does_not_load_mpmath():
+    """mpmath is loaded only where a certified integral is computed."""
+    code = "import sys, diffrad.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ import pytest
 
 from diffrad import (
     FactoredPoly,
+    FieldTower,
     Polynomial,
     parse_constant,
     parse_factored,
@@ -170,3 +171,15 @@ def test_print_poly_shapes(tower):
     p = z.scale(tower.sqrt_gen(1) + 1)  # two basis terms force parentheses
     assert print_poly(p) == "(1 + sqrt(2))*z"
     assert parse_poly(print_poly(p), tower) == p
+
+
+def test_tower_with_non_rational_radicand_prints():
+    base = FieldTower.rationals().adjoin_sqrt(2)
+    t = base.adjoin_sqrt(1 + base.sqrt_gen(0))
+    assert t.describe() == "Q(sqrt(2), sqrt(1 + sqrt(2)))"
+    assert repr(t) == "FieldTower(Q(sqrt(2), sqrt(1 + sqrt(2))))"
+    root = t.sqrt_gen(1)
+    assert str(root) == "sqrt(1 + sqrt(2))"
+    p = Polynomial(t, (root, 0, 1 + t.sqrt_gen(0) + root))
+    assert str(p) == "(1 + sqrt(2) + sqrt(1 + sqrt(2)))*z^2 + sqrt(1 + sqrt(2))"
+    assert repr(p).startswith("Polynomial(")

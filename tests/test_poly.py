@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffrad import FactoredPoly, Polynomial, gcd, multi_gcd
+import naive_poly
+from diffrad import FactoredPoly, FieldTower, Polynomial, gcd, multi_gcd, shift_gcd_factor
 from diffrad.errors import (
     NonPositiveMultiplicityError,
     NotDivisibleError,
@@ -13,6 +14,7 @@ from diffrad.errors import (
     ZeroPolynomialError,
     ZeroShiftError,
 )
+from diffrad.field import muladd
 from diffrad.generators import random_element, random_factored, random_kappa, random_poly
 
 
@@ -182,3 +184,117 @@ def test_derivative_product_rule(tower):
         p = random_poly(rng, tower, 4)
         q = random_poly(rng, tower, 4)
         assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+
+# -- differential tests of the fused kernels against tests/naive_poly.py ------
+
+DEGREES = range(25)
+
+
+def _nested_tower():
+    """Q(i, sqrt(2), sqrt(1 + sqrt(2))): the last radicand is not rational."""
+    base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
+    return base.adjoin_sqrt(1 + base.sqrt_gen(1))
+
+
+@pytest.fixture(scope="module", params=["default", "nested"])
+def any_tower(request, tower):
+    return tower if request.param == "default" else _nested_tower()
+
+
+def _kappas(t):
+    """A rational, an imaginary and an irrational shift."""
+    half = t.rational(Fraction(1, 2))
+    return [
+        t.rational(Fraction(-3, 2)),
+        t.sqrt_gen(0) * half,
+        t.sqrt_gen(t.depth - 1) - t.rational(Fraction(1, 3)),
+    ]
+
+
+def _dense(rng, t, n):
+    coeffs = [random_element(rng, t, 3, 0.5) for _ in range(n + 1)]
+    while coeffs[-1].is_zero():
+        coeffs[-1] = random_element(rng, t, 3, 0.5)
+    return Polynomial(t, coeffs)
+
+
+def test_muladd_equals_add_of_product(any_tower):
+    t = any_tower
+    rng = random.Random(41)
+    samples = [t.zero, t.one, -t.one, t.sqrt_gen(t.depth - 1)]
+    samples += [random_element(rng, t, 5, 0.8) for _ in range(40)]
+    for _ in range(400):
+        acc, x, y = (rng.choice(samples) for _ in range(3))
+        for a in (acc, -(x * y)):  # the second sum cancels to zero
+            fused = muladd(a, x, y)
+            plain = a + x * y
+            assert fused == plain and hash(fused) == hash(plain)
+            assert all(type(c) is Fraction for c in fused.coords)
+
+
+def test_taylor_shift_matches_horner(any_tower):
+    t = any_tower
+    rng = random.Random(42)
+    for kappa in _kappas(t):
+        for n in DEGREES:
+            p = _dense(rng, t, n)
+            assert p.taylor_shift(kappa) == naive_poly.taylor_shift(p, kappa)
+
+
+def test_expand_matches_linear_product(any_tower):
+    t = any_tower
+    rng = random.Random(43)
+    for n in DEGREES:
+        kappa = _kappas(t)[n % 3]
+        entries = []
+        while sum(m for _, m in entries) < n:
+            root = random_element(rng, t, 3, 0.5) + kappa * rng.randint(-2, 2)
+            entries.append((root, min(rng.randint(1, 3), n - sum(m for _, m in entries))))
+        f = FactoredPoly(random_element(rng, t, 3, 0.5) or t.one, entries)
+        p = f.expand()
+        assert p == naive_poly.expand(f)
+        for root, mult in f.factors:
+            assert p.ord_at(root) == mult
+            assert p.eval_at(root).is_zero()
+        probe = random_element(rng, t, 4, 0.5)
+        assert p.eval_at(probe) == naive_poly.eval_at(p, probe)
+
+
+def test_divmod_matches_schoolbook(any_tower):
+    t = any_tower
+    rng = random.Random(44)
+    for n in DEGREES:
+        p = _dense(rng, t, n)
+        for dd in sorted({0, n // 3, n // 2, n, n + 1}):
+            d = _dense(rng, t, dd)
+            for divisor in (d, d.monic()):
+                assert divmod(p, divisor) == naive_poly.poly_divmod(p, divisor)
+
+
+def test_shift_gcd_factor_matches_explicit_shifts(any_tower):
+    t = any_tower
+    rng = random.Random(45)
+    for n in DEGREES:
+        kappa = _kappas(t)[n % 3]
+        m = 1 + n % 4
+        bases = [random_element(rng, t, 3, 0.5) for _ in range(2)]
+        entries = [(bases[j % 2] + kappa * rng.randint(-3, 3), 1) for j in range(n)]
+        p = FactoredPoly(t.rational(rng.choice([1, -2, Fraction(1, 2)])), entries).expand()
+        assert shift_gcd_factor(p, kappa, m) == naive_poly.shift_gcd(p, kappa, m)
+
+
+def test_kernels_lift_subtower_operands(tower):
+    sub = FieldTower.rationals().adjoin_sqrt(-1)
+    p = Polynomial(tower, (tower.sqrt_gen(1), 1))
+    q = Polynomial(sub, (sub.sqrt_gen(0), 2, 1))
+    lifted = Polynomial(tower, q.coeffs)
+    assert p * q == p * lifted
+    assert divmod(p * q + p, q) == divmod(p * lifted + p, lifted)
+    other = FieldTower.rationals().adjoin_sqrt(5)
+    r = Polynomial(other, (other.sqrt_gen(0), 1))
+    for a, b in ((q, p), (p, r), (r, p)):
+        with pytest.raises(ValueError):
+            a * b
+        with pytest.raises(ValueError):
+            divmod(a * a * a, b)
