@@ -28,6 +28,7 @@ from .divisor import (
 )
 from .errors import (
     DependentInputsError,
+    EnclosureWidthError,
     NonPositiveMultiplicityError,
     NotDivisibleError,
     ParseError,
@@ -65,6 +66,7 @@ EXIT_USAGE = 3
 
 _DOMAIN_ERRORS = (
     DependentInputsError,
+    EnclosureWidthError,
     NonPositiveMultiplicityError,
     NotDivisibleError,
     ZeroLeadingError,
@@ -431,11 +433,17 @@ def _escape_expressions(argv: list[str]) -> list[str]:
     return out
 
 
+# Built on the first main() call and reused by every later call in the process.
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_escape_expressions(list(argv)))
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(_escape_expressions(list(argv)))
     try:
         session = _build_session(args)
     except ParseError as exc:

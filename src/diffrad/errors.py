@@ -36,6 +36,10 @@ class NotDivisibleError(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
+class EnclosureWidthError(ArithmeticError):
+    """Interval refinement stopped before reaching the requested width."""
+
+
 class DependentInputsError(ValueError):
     """Inputs required to be linearly independent are not."""
 

@@ -22,12 +22,6 @@ from .poly import FactoredPoly, Polynomial
 from .radical import diff_radical, n_tilde
 
 
-def _frac_str(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
-
-
 def _shift_chain_radical() -> dict:
     """Zeros of orders 2, 1, 3 on the chain 0, 1, 2; shift 1."""
     T = default_tower()
@@ -103,7 +97,7 @@ def _four_term_order_gap() -> dict:
     crude = sum(n_tilde(p, 1, 2) for p in (a1, a2, a3, a4))
     crude_rhs = crude - 3
     return {
-        "sum_constant": _frac_str(a4.constant_value().as_fraction()),
+        "sum_constant": str(a4.constant_value().as_fraction()),
         "lhs": rep.lhs,
         "rhs": rep.rhs,
         "holds": rep.holds,
@@ -132,7 +126,7 @@ def _four_term_constant_sum() -> dict:
     a4 = a1 + a2 + a3
     rep = check_mason_multi([a1, a2, a3, a4], 1)
     return {
-        "sum_constant": _frac_str(a4.constant_value().as_fraction()),
+        "sum_constant": str(a4.constant_value().as_fraction()),
         "sum_degree": int(a4.degree),
         "lhs": rep.lhs,
         "rhs": rep.rhs,
@@ -155,7 +149,7 @@ def _factorial_square_identity() -> dict:
     return {
         "n": 2,
         "lhs": rep.lhs,
-        "rhs": _frac_str(rep.rhs),
+        "rhs": str(rep.rhs),
         "holds": rep.holds,
         "corollary_bound": rep.artifacts["corollary_bound"],
     }

@@ -23,11 +23,17 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
-from .errors import NonRealRadicandError, SquareRadicandError, ZeroRadicandError
+from .errors import (
+    EnclosureWidthError,
+    NonRealRadicandError,
+    SquareRadicandError,
+    ZeroRadicandError,
+)
 
 Scalar = Union[int, Fraction, "FieldElement"]
 
 _F0 = Fraction(0)
+_MISSING = object()
 
 
 def _sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -284,7 +290,10 @@ class FieldTower:
     extends this one, so elements of the smaller tower lift losslessly.
     """
 
-    __slots__ = ("_gens", "_signs", "_table", "_tden", "_flips", "_pad", "_box_cache", "_hash")
+    __slots__ = (
+        "_gens", "_signs", "_table", "_tden", "_flips", "_pad", "_box_cache", "_sqrt_cache",
+        "_hash",
+    )
 
     def __init__(self, gens=(), signs=()):
         # Radicand k is a canonical (numerators, denominator) vector of the
@@ -297,6 +306,8 @@ class FieldTower:
         self._flips = tuple(bin(s & imag).count("1") & 1 for s in range(self.dim))
         self._pad = (0,) * (self.dim - 1)
         self._box_cache: dict = {}
+        # Branch-selected roots by rational radicand, None where there is none.
+        self._sqrt_cache: dict = {}
         self._hash = hash(self._gens)
 
     @classmethod
@@ -390,8 +401,16 @@ class FieldTower:
 
         Positive q: the root embedding positive real.  Negative q: the root
         with positive imaginary part.  Returns None when no root exists.
+        Answers are memoised per tower; towers and elements are immutable,
+        so a remembered root is the element a fresh computation would build.
         """
         q = Fraction(q)
+        root = self._sqrt_cache.get(q, _MISSING)
+        if root is _MISSING:
+            root = self._sqrt_cache[q] = self._branch_sqrt(q)
+        return root
+
+    def _branch_sqrt(self, q: Fraction) -> Optional["FieldElement"]:
         root = self.try_sqrt(self.rational(q))
         if root is None or root.is_zero():
             return root
@@ -614,7 +633,9 @@ class FieldElement:
         """A rational rectangle containing the complex embedding.
 
         The width never exceeds 2**-precision_bits (exact rationals come back
-        as zero-width points).  precision_bits must be at least 8.
+        as zero-width points).  precision_bits must be at least 8.  Raises
+        EnclosureWidthError when 24 doublings of the working precision do not
+        reach that width.
         """
         if precision_bits < 8:
             raise ValueError("precision_bits must be at least 8")
@@ -625,7 +646,9 @@ class FieldElement:
             if box.width <= target:
                 return box
             prec *= 2
-        return box
+        raise EnclosureWidthError(
+            f"enclosure wider than 2**-{precision_bits} after 24 refinements"
+        )
 
     def __complex__(self) -> complex:
         return self.embed(53).mid

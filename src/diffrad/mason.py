@@ -5,8 +5,7 @@ n~(a) + n~(b) + n~(c) - 1 with n~ the order-2 difference radical degree.
 For a_1 + ... + a_m = a_{m+1} with the first m linearly independent over the
 constants, order-m radical degrees bound the maximum degree with slack
 m(m-1)/2.  The Casoratian (shift analogue of the Wronskian) powers the
-multi-term case; its determinant is computed fraction-free, with a naive
-cofactor expansion kept around as an oracle for small sizes.
+multi-term case; its determinant is computed fraction-free.
 """
 
 from __future__ import annotations
@@ -57,31 +56,6 @@ def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
-
-
-def det_cofactor(mat: list[list[Polynomial]]) -> Polynomial:
-    """Naive cofactor expansion; exponential, oracle use only (m <= 4)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    tower = mat[0][0].tower
-    acc = Polynomial.zero(tower)
-    for j, entry in enumerate(mat[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = entry * det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def casoratian_naive(ps: Sequence[Polynomial], kappa) -> Polynomial:
-    tower = ps[0].tower
-    kappa = tower._coerce(kappa)
-    rows = [list(ps)] + [
-        [p.taylor_shift(kappa * i) for p in ps] for i in range(1, len(ps))
-    ]
-    return det_cofactor(rows)
 
 
 def linearly_independent(ps: Sequence[Polynomial]) -> bool:

@@ -381,14 +381,6 @@ class FactoredPoly:
                     c[k] = muladd(c[k], neg_root, c[k + 1])
         return Polynomial(self.tower, c)
 
-    def scale_roots_and_leading(self, leading=None, shift=None):
-        """Convenience for building transformed copies; internal use."""
-        lead = self.leading if leading is None else self.tower._coerce(leading)
-        if shift is None:
-            return FactoredPoly(lead, self.factors)
-        shift = self.tower._coerce(shift)
-        return FactoredPoly(lead, [(r + shift, m) for r, m in self.factors])
-
     def __eq__(self, other):
         if not isinstance(other, FactoredPoly):
             return NotImplemented

@@ -5,7 +5,7 @@ Each works on coefficient lists with plain FieldElement `+`, `-`, `*` and
 `poly.py`, so a fault there cannot hide in its own reference.
 """
 
-from diffrad import Polynomial
+from diffrad import FactoredPoly, Polynomial
 
 
 def _trim(coeffs):
@@ -106,3 +106,32 @@ def eval_at(p: Polynomial, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def shift_roots(f, shift) -> FactoredPoly:
+    """f with every root moved by `shift`: the factored form of f(z - shift)."""
+    shift = f.tower._coerce(shift)
+    return FactoredPoly(f.leading, [(r + shift, m) for r, m in f.factors])
+
+
+def det_cofactor(mat):
+    """Determinant of a square matrix of polynomials by cofactor expansion
+    along the first row; exponential, for small sizes only."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    acc = Polynomial.zero(mat[0][0].tower)
+    for j, entry in enumerate(mat[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = entry * det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def casoratian(ps, kappa) -> Polynomial:
+    """det of the matrix with entry (i, j) = p_j(z + i*kappa), by cofactors."""
+    kappa = ps[0].tower._coerce(kappa)
+    rows = [list(ps)] + [[p.taylor_shift(kappa * i) for p in ps] for i in range(1, len(ps))]
+    return det_cofactor(rows)

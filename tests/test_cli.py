@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from diffrad import cli, default_tower, field
 from diffrad.cli import main
 from diffrad.examples import EXPECTED
 
@@ -222,12 +224,76 @@ def test_json_schema_on_every_command(capsys, tmp_path):
         assert set(doc["session"]) == {"tower", "kappa", "seed", "coprimality"}
 
 
+def _fresh_python(*args):
+    """Run a new interpreter with this checkout's src/ on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_cli_import_does_not_load_mpmath():
     """mpmath is loaded only where a certified integral is computed."""
     code = "import sys, diffrad.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    code, doc = run_json(capsys, ["radical", "sqrt(5)*z", "--adjoin", "5"])
+    assert code == 0
+    assert doc["session"]["tower"] == "Q(i, sqrt(2), sqrt(3), sqrt(5))"
+    parser = cli._PARSER
+    assert parser is not None
+    # Without --adjoin the tower has no sqrt(5): the appended list must not linger.
+    assert main(["radical", "sqrt(5)*z", "--json"]) == 3
+    assert "not representable" in capsys.readouterr().err
+    assert cli._PARSER is parser
+
+
+def test_usage_error_then_valid_call_matches_fresh_process(capsys):
+    argv = ["mason", "z^2 + z", "-(z^2 + 5*z + 6)", "-4*z - 6", "--kappa", "sqrt(2)", "--json"]
+    with pytest.raises(SystemExit) as exc:
+        main(["mason", "z", "z", "z", "--coprimality", "bogus"])
+    assert exc.value.code == 3
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr().out
+    proc = _fresh_python("-m", "diffrad.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert out == proc.stdout
+
+
+def test_cached_parser_help_matches_a_fresh_parser(capsys):
+    main(["radical", "z"])
+    capsys.readouterr()
+    for argv in (["--help"], ["mason", "--help"], ["divisor", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        assert cached == capsys.readouterr().out and "usage: diffrad" in cached
+
+
+def test_enclosure_width_error_is_a_domain_error(monkeypatch, capsys):
+    exact, pad = field._eval_box, Fraction(1, 2**30)
+
+    def never_narrow(num, den, tw, prec):
+        # Still a true enclosure, so sign decisions stay right, but never
+        # narrower than 2**-29; the precision cap keeps 24 refinements cheap.
+        box = exact(num, den, tw, min(prec, 128))
+        return field.ComplexInterval(
+            box.re_lo - pad, box.re_hi + pad, box.im_lo - pad, box.im_hi + pad
+        )
+
+    monkeypatch.setattr(field, "_eval_box", never_narrow)
+    # The padded root boxes and roots must not outlive the test.
+    monkeypatch.setattr(default_tower(), "_box_cache", {})
+    monkeypatch.setattr(default_tower(), "_sqrt_cache", {})
+    # |1 + sqrt(2)|^2 is irrational, so its integral needs an enclosure.
+    assert main(["divisor", "--divisor", "(1 + sqrt(2),1)", "--radii", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diffrad: enclosure wider than") and "Traceback" not in err

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffrad import FieldTower, compare_real, default_tower
+from diffrad import FieldTower, compare_real, default_tower, field
 from diffrad.errors import (
+    EnclosureWidthError,
     NonRealRadicandError,
     SquareRadicandError,
     ZeroRadicandError,
@@ -85,6 +86,15 @@ def test_embed_width_contract(tower):
         assert tight.width <= Fraction(1, 2**48)
         assert wide.re_lo <= tight.re_lo and tight.re_hi <= wide.re_hi
         assert wide.im_lo <= tight.im_lo and tight.im_hi <= wide.im_hi
+
+
+def test_embed_raises_when_refinement_cannot_reach_the_width(tower, monkeypatch):
+    wide = field.ComplexInterval(Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+    monkeypatch.setattr(field, "_eval_box", lambda num, den, tw, prec: wide)
+    with pytest.raises(EnclosureWidthError):
+        tower.sqrt_gen(1).embed(16)
+    with pytest.raises(EnclosureWidthError):
+        tower.rational(Fraction(1, 3)).embed(53)
 
 
 def test_sign_decisions_are_exact(tower):
@@ -225,3 +235,77 @@ def test_full_elements_invert_and_take_roots(tower):
         assert root in (x, -x)
         assert x.conj().conj() == x
         assert hash(x) == hash(tower.element(x.coords))
+
+
+SQRT_GRID = [0, 1, -1, 2, -2, Fraction(1, 4), Fraction(-1, 4), 8, -12, 5, Fraction(7, 3)]
+
+
+def _fresh_default():
+    return FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2).adjoin_sqrt(3)
+
+
+def _check_branch(q, root):
+    """root is the branch-selected square root of the rational q."""
+    assert root * root == q
+    if q > 0:
+        assert root.sign_real() == 1
+    elif q < 0:
+        assert not root.is_real() and root._sign_of_imag() == 1
+
+
+def test_sqrt_of_rational_memo_matches_fresh_computation(tower):
+    fresh = _fresh_default()
+    assert fresh == tower and fresh is not tower
+    for q in SQRT_GRID:
+        first = fresh.sqrt_of_rational(q)  # the first, uncached call on `fresh`
+        if q in (5, Fraction(7, 3)):
+            assert first is None
+        else:
+            _check_branch(q, first)
+            assert first.tower is fresh and _all_fractions(first)
+        for tw in (fresh, tower, fresh, tower):
+            again = tw.sqrt_of_rational(q)
+            if first is None:
+                assert again is None
+            else:
+                assert again.coords == first.coords and again.tower is tw
+        assert fresh.sqrt_of_rational(Fraction(q)) is fresh.sqrt_of_rational(q)
+
+
+def test_sqrt_of_rational_memo_is_per_tower(tower):
+    assert tower.sqrt_of_rational(5) is None
+    big = tower.adjoin_sqrt(5)
+    s5 = big.sqrt_of_rational(5)
+    assert s5 == big.sqrt_gen(3) and s5.tower is big
+    _check_branch(5, s5)
+    assert tower.sqrt_of_rational(5) is None
+    assert big.sqrt_of_rational(2).tower is big
+    assert tower.sqrt_of_rational(2).tower is tower
+    _check_branch(-20, big.sqrt_of_rational(-20))
+
+
+@pytest.mark.parametrize(
+    "a, b, missing",
+    [
+        (1, 1, (5, Fraction(7, 3), -12, 3, -3)),
+        # 9 + 6*sqrt(2) = 3*(1 + sqrt(2))^2: try_sqrt meets sqrt(3) and
+        # sqrt(-12) on the negative branch, so these need branch selection.
+        (9, 6, (5, Fraction(7, 3))),
+    ],
+)
+def test_sqrt_of_rational_over_non_rational_radicand(a, b, missing):
+    base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
+
+    def build():  # Q(i, sqrt(2), sqrt(a + b*sqrt(2)))
+        return base.adjoin_sqrt(a + b * base.sqrt_gen(1))
+
+    tw = build()
+    for q in SQRT_GRID + [3, -3]:
+        fresh = build().sqrt_of_rational(q)
+        for _ in range(2):
+            root = tw.sqrt_of_rational(q)
+            if q in missing:
+                assert root is None and fresh is None
+            else:
+                _check_branch(q, root)
+                assert root.coords == fresh.coords

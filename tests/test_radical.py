@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import naive_poly
 from diffrad import (
     FactoredPoly,
     Polynomial,
@@ -31,8 +32,8 @@ def _tilde_radical(f, kappa):
 
 def _equality_pairs_coprime(p, q, kappa):
     """The two cross-shift radical pairs that decide additivity of n~."""
-    p_up = p.scale_roots_and_leading(shift=-kappa)  # roots of p(z + kappa)
-    q_up = q.scale_roots_and_leading(shift=-kappa)
+    p_up = naive_poly.shift_roots(p, -kappa)  # roots of p(z + kappa)
+    q_up = naive_poly.shift_roots(q, -kappa)
     first = gcd(_tilde_radical(p, kappa), _tilde_radical(q_up, -kappa))
     second = gcd(_tilde_radical(p_up, -kappa), _tilde_radical(q, kappa))
     return first.degree == 0 and second.degree == 0
