@@ -19,12 +19,11 @@ def main(argv=None):
         metavar="NAME",
         help="fixture names to run (default: all)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads")
     parser.add_argument("--json", action="store_true", help="machine output")
     args = parser.parse_args(argv)
 
     try:
-        results = run_all(args.names or None, jobs=args.jobs)
+        results = run_all(args.names or None)
     except KeyError as exc:
         known = ", ".join(f.name for f in FIXTURES)
         parser.error(f"{exc.args[0]} (known: {known})")

@@ -49,7 +49,6 @@ from .mason import (
     linearly_independent,
     pairwise_coprime,
     setwise_coprime,
-    shift_gcd_factor,
 )
 from .parser import (
     parse_constant,
@@ -59,7 +58,7 @@ from .parser import (
     print_factored,
     print_poly,
 )
-from .poly import FactoredPoly, Polynomial, gcd, multi_gcd
+from .poly import FactoredPoly, Polynomial, gcd, multi_gcd, shift_gcd_factor
 from .radical import (
     RadicalResult,
     classical_radical,

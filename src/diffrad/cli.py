@@ -329,7 +329,7 @@ def cmd_divisor(session: Session, args) -> int:
 def cmd_examples(session: Session, args) -> int:
     names = args.names or None
     try:
-        results = run_all(names=names, jobs=args.jobs)
+        results = run_all(names=names)
     except KeyError as exc:
         raise ParseError(str(exc), 0) from exc
     all_ok = all(res.ok for res in results)
@@ -373,7 +373,6 @@ def _build_parser() -> _Parser:
         action="append",
         help="adjoin sqrt(D) to the base tower (repeatable)",
     )
-    common.add_argument("--jobs", type=int, default=1, help="parallel fixtures")
 
     parser = _Parser(prog="diffrad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,10 +445,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(_escape_expressions(list(argv)))
     try:
         session = _build_session(args)
-    except ParseError as exc:
-        print(f"diffrad: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
+    except (ParseError, *_DOMAIN_ERRORS) as exc:
         print(f"diffrad: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

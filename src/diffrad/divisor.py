@@ -9,8 +9,9 @@ and their integrated companions, evaluated in closed form
 
     N(r) = sum_{0<|w|<=r} c_w log(r/|w|) + c_0 log r
 
-with certified interval arithmetic. Note the min here runs over q+1 shifts;
-the order-m radical count used elsewhere corresponds to q = m - 1.
+with certified interval arithmetic. The min runs over the q+1 points
+w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
+and _truncated_weights is the one place that translates q to m.
 
 check_truncation verifies, radius by radius, that truncated counting of an
 order-n factorial power is dominated by q plain counts of shifted copies.
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldTower, compare_real
 from .mason import casoratian, linearly_independent
-from .poly import FactoredPoly, Polynomial, multi_gcd, shift_gcd_factor
+from .poly import FactoredPoly, Polynomial, multi_gcd, shift_gcd_factor, shift_window_excess
 from .report import CheckReport, Hypothesis, Statement
 
 DEFAULT_PRECISION_BITS = 40
@@ -152,11 +153,6 @@ def _as_fraction(r) -> Fraction:
     return Fraction(r)
 
 
-def _in_closed_disc(abs_sq: FieldElement, r_sq: Fraction) -> int:
-    """-1 strictly inside, 0 on the boundary, 1 outside, given |w|^2."""
-    return compare_real(abs_sq, r_sq)
-
-
 def n_count(D: Divisor, r) -> int:
     """Multiplicity mass inside the closed disc of radius r about 0."""
     r = _as_fraction(r)
@@ -164,7 +160,7 @@ def n_count(D: Divisor, r) -> int:
         raise ValueError("radius must be non-negative")
     r_sq = r * r
     sq = D._abs_squares()
-    return sum(c for w, c in D.items() if _in_closed_disc(sq[w], r_sq) <= 0)
+    return sum(c for w, c in D.items() if compare_real(sq[w], r_sq) <= 0)
 
 
 def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, int]]:
@@ -175,16 +171,10 @@ def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, in
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"truncation order must be a positive integer, got {q!r}")
     out = []
-    for w, c in D.items():
-        low = c
-        point = w
-        for _ in range(q):
-            point = point + kappa
-            low = min(low, D.multiplicity(point))
-            if low == 0:
-                break
-        if c > low:
-            out.append((w, c - low))
+    for w in D.support():
+        excess = shift_window_excess(D.multiplicity, w, kappa, q + 1)
+        if excess:
+            out.append((w, excess))
     return out
 
 
@@ -196,7 +186,7 @@ def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
     r_sq = r * r
     sq = D._abs_squares()
     return sum(
-        d for w, d in _truncated_weights(D, kappa, q) if _in_closed_disc(sq[w], r_sq) <= 0
+        d for w, d in _truncated_weights(D, kappa, q) if compare_real(sq[w], r_sq) <= 0
     )
 
 
@@ -254,7 +244,7 @@ def _integrate_weights(
                 total += iv.mpf(c) * log_r
                 continue
             abs_sq = abs_squares[w]
-            if _in_closed_disc(abs_sq, r_sq) >= 0:
+            if compare_real(abs_sq, r_sq) >= 0:
                 continue
             enc = _iv_real_enclosure(abs_sq, bits)
             while enc.a <= 0:
@@ -287,7 +277,7 @@ def N_tilde_q_integrated(
     n_val = 0
     r_sq = r * r
     for w, d in weights:
-        if _in_closed_disc(sq[w], r_sq) <= 0:
+        if compare_real(sq[w], r_sq) <= 0:
             n_val += d
     return CountingValue(n_val, mid, err)
 
@@ -462,31 +452,14 @@ def check_ord_inequality(
                 candidates.add(w + kappa_el * i)
     ordered = sorted(candidates, key=lambda e: e.coords)
 
-    polys = dense + [total]
-    factored_ords = list(gs)
-
-    def ord_plus(j: int, point: FieldElement) -> int:
-        if j < m:
-            return factored_ords[j].ord_at(point)
-        return polys[m].ord_at(point)
+    # g_1 .. g_m answer from their root data, the dense sum g_{m+1} by Horner.
+    ords = [g.ord_at for g in gs] + [total.ord_at]
 
     violations = []
     point_rows = []
     for w in ordered:
-        lhs_w = sum(ord_plus(j, w) for j in range(m + 1)) - C.ord_at(w)
-        rhs_w = 0
-        for j in range(m + 1):
-            base = ord_plus(j, w)
-            if base == 0:
-                continue
-            low = base
-            point = w
-            for _ in range(1, m):
-                point = point + kappa_el
-                low = min(low, ord_plus(j, point))
-                if low == 0:
-                    break
-            rhs_w += base - low
+        lhs_w = sum(order(w) for order in ords) - C.ord_at(w)
+        rhs_w = sum(shift_window_excess(order, w, kappa_el, m) for order in ords)
         point_rows.append((w, max(lhs_w, 0), rhs_w))
         if lhs_w > 0 and lhs_w > rhs_w:
             violations.append({"point": str(w), "lhs": lhs_w, "rhs": rhs_w})
@@ -508,7 +481,7 @@ def check_ord_inequality(
         r_sq = r * r
         lhs_r = rhs_r = 0
         for (w, lhs_w, rhs_w), abs_sq in zip(point_rows, abs_squares):
-            if _in_closed_disc(abs_sq, r_sq) <= 0:
+            if compare_real(abs_sq, r_sq) <= 0:
                 lhs_r += lhs_w
                 rhs_r += rhs_w
         ok = lhs_r <= rhs_r

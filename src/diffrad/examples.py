@@ -9,7 +9,6 @@ fermat).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -273,28 +272,10 @@ def run_fixture(fixture: Fixture, expected: dict | None = None) -> FixtureResult
     return FixtureResult(fixture.name, values, tuple(mismatches))
 
 
-def run_all(
-    names: Sequence[str] | None = None,
-    jobs: int = 1,
-    expected_overrides: dict[str, dict] | None = None,
-) -> list[FixtureResult]:
-    chosen = []
-    for f in FIXTURES:
-        if names is None or f.name in names:
-            chosen.append(f)
+def run_all(names: Sequence[str] | None = None) -> list[FixtureResult]:
     if names is not None:
         known = {f.name for f in FIXTURES}
         unknown = [n for n in names if n not in known]
         if unknown:
             raise KeyError(f"unknown fixture names: {', '.join(unknown)}")
-
-    def work(fixture: Fixture) -> FixtureResult:
-        expected = None
-        if expected_overrides is not None and fixture.name in expected_overrides:
-            expected = expected_overrides[fixture.name]
-        return run_fixture(fixture, expected)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, chosen))
-    return [work(f) for f in chosen]
+    return [run_fixture(f) for f in FIXTURES if names is None or f.name in names]

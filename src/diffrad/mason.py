@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ZeroShiftError
-from .poly import Polynomial, gcd, multi_gcd, shift_gcd_factor  # noqa: F401 (re-export)
+from .poly import Polynomial, gcd, multi_gcd
 from .radical import diff_radical_m
 from .report import CheckReport, Hypothesis, Statement
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     NonPositiveMultiplicityError,
@@ -322,6 +322,23 @@ def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
             break
         g = gcd(g, g.taylor_shift(kappa))
     return g
+
+
+def shift_window_excess(order: Callable[[FieldElement], int], w, kappa, m: int) -> int:
+    """order(w) - min of order over the m points w, w+kappa, ..., w+(m-1)kappa.
+
+    The window is the one shift_gcd_factor(p, kappa, m) takes on dense input,
+    so with order = ord_at of p this is the exponent of (z - w) in p / that
+    gcd.  The walk steps by kappa and stops once the minimum reaches 0.
+    """
+    base = low = order(w)
+    point = w
+    for _ in range(1, m):
+        if low == 0:
+            break
+        point = point + kappa
+        low = min(low, order(point))
+    return base - low
 
 
 class FactoredPoly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError, ZeroShiftError
-from .poly import FactoredPoly, Polynomial, gcd, shift_gcd_factor
+from .poly import FactoredPoly, Polynomial, gcd, shift_gcd_factor, shift_window_excess
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,13 @@ def classical_radical(p: Polynomial) -> RadicalResult:
 
 
 def _chain_exponents(f: FactoredPoly, kappa, m: int) -> dict:
-    """root -> ord_w - min over the m forward shifts, from root data alone."""
+    """root -> ord_w - min over the m-point window, from root data alone."""
     orders = dict(f.factors)
-    out = {}
-    for root, mult in f.factors:
-        low = mult
-        for j in range(1, m):
-            low = min(low, orders.get(root + kappa * j, 0))
-            if low == 0:
-                break
-        out[root] = mult - low
-    return out
+
+    def order(point) -> int:
+        return orders.get(point, 0)
+
+    return {root: shift_window_excess(order, root, kappa, m) for root, _ in f.factors}
 
 
 def diff_radical_from_roots(f: FactoredPoly, kappa, m: int = 2) -> RadicalResult:

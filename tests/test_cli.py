@@ -193,9 +193,17 @@ def test_examples_tamper_detected(monkeypatch, capsys):
     broken = dict(EXPECTED["shift-chain-radical"])
     broken["n_tilde"] = 5
     monkeypatch.setitem(EXPECTED, "shift-chain-radical", broken)
-    code, out = run(capsys, ["examples", "shift-chain-radical", "--jobs", "2"])
+    code, out = run(capsys, ["examples", "shift-chain-radical"])
     assert code == 1
     assert "FAIL shift-chain-radical" in out
+
+
+def test_jobs_option_is_gone(capsys):
+    for argv in (["examples", "--jobs", "2"], ["radical", "z", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "--jobs" in capsys.readouterr().err
 
 
 def test_adjoined_tower_session(capsys):

@@ -243,6 +243,23 @@ def test_check_ord_inequality_demo(tower):
     assert all(row["lhs"] <= row["rhs"] for row in report.artifacts["per_radius"])
 
 
+def test_check_ord_inequality_pins_the_window(tower):
+    # g1 = z^2 (z - 1) carries the chain 0 (mult 2), 1 (mult 1); g2 = 1 and the
+    # sum z^3 - z^2 + 1 vanish nowhere on it. With m = 2 the window of w is
+    # {w, w+1}: excess 1 at 0 and 1 at 1. A one-point window would give 0 and
+    # 0, a three-point window 2 and 1.
+    g1 = FactoredPoly(tower.one, [(0, 2), (1, 1)])
+    g2 = FactoredPoly(tower.one, [])
+    report = check_ord_inequality([g1, g2], 1, radii=[0, 1, 2])
+    assert report.holds
+    assert report.artifacts["points_checked"] == 3
+    assert report.artifacts["per_radius"] == [
+        {"r": "0", "lhs": 1, "rhs": 1, "holds": True},
+        {"r": "1", "lhs": 2, "rhs": 2, "holds": True},
+        {"r": "2", "lhs": 2, "rhs": 2, "holds": True},
+    ]
+
+
 def test_check_ord_inequality_random(tower):
     rng = random.Random(57)
     for m in (2, 3):

@@ -16,6 +16,7 @@ from diffrad.errors import (
 )
 from diffrad.field import muladd
 from diffrad.generators import random_element, random_factored, random_kappa, random_poly
+from diffrad.poly import shift_window_excess
 
 
 def _rand_pair(rng, tower):
@@ -282,6 +283,24 @@ def test_shift_gcd_factor_matches_explicit_shifts(any_tower):
         entries = [(bases[j % 2] + kappa * rng.randint(-3, 3), 1) for j in range(n)]
         p = FactoredPoly(t.rational(rng.choice([1, -2, Fraction(1, 2)])), entries).expand()
         assert shift_gcd_factor(p, kappa, m) == naive_poly.shift_gcd(p, kappa, m)
+
+
+def test_shift_window_excess_matches_brute_force(any_tower):
+    t = any_tower
+    rng = random.Random(46)
+    for kappa in _kappas(t):
+        base = random_element(rng, t, 3, 0.5)
+        lattice = [base + kappa * j for j in range(-2, 7)]
+        for _ in range(25):
+            orders = {w: rng.randint(1, 3) for w in rng.sample(lattice, rng.randint(1, 6))}
+
+            def order(w):
+                return orders.get(w, 0)
+
+            for w in lattice[:5]:
+                for m in range(1, 5):
+                    brute = order(w) - min(order(w + j * kappa) for j in range(m))
+                    assert shift_window_excess(order, w, kappa, m) == brute
 
 
 def test_kernels_lift_subtower_operands(tower):
