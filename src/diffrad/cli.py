@@ -93,7 +93,6 @@ class Session:
     json_output: bool
     seed: int | None
     coprimality: str
-    adjoined: tuple[int, ...]
 
     def describe(self) -> dict:
         return {
@@ -106,8 +105,7 @@ class Session:
 
 def _build_session(args) -> Session:
     tower = default_tower()
-    adjoined = tuple(args.adjoin or ())
-    for d in adjoined:
+    for d in args.adjoin or ():
         tower = tower.adjoin_sqrt(Fraction(d))
     kappa = parse_constant(args.kappa, tower)
     if kappa.is_zero():
@@ -118,7 +116,6 @@ def _build_session(args) -> Session:
         json_output=args.json,
         seed=args.seed,
         coprimality=args.coprimality,
-        adjoined=adjoined,
     )
 
 
@@ -146,7 +143,7 @@ def _read_divisor(session: Session, inline: str | None, path: str | None) -> Div
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", 0) from exc
     entries = [parse_root_mult(obj, session.tower) for obj in iter_objects(lines)]
     return Divisor(session.tower, entries)
@@ -241,9 +238,6 @@ def cmd_radical(session: Session, args) -> int:
             exit_code = EXIT_VIOLATION
 
     payload = {
-        "hypotheses": [],
-        "lhs": None,
-        "rhs": None,
         "holds": None if not args.oracle else artifacts["oracle_agrees"],
         "artifacts": artifacts,
     }
@@ -315,14 +309,7 @@ def cmd_divisor(session: Session, args) -> int:
             f"{row['r']} | {row['n']} | {row['n_tilde']} | "
             f"{row['N']:.12f} | {row['N_tilde']:.12f}"
         )
-    payload = {
-        "hypotheses": [],
-        "lhs": None,
-        "rhs": None,
-        "holds": None,
-        "artifacts": {"q": args.q, "table": rows},
-    }
-    _emit(session, "divisor", payload, lines)
+    _emit(session, "divisor", {"artifacts": {"q": args.q, "table": rows}}, lines)
     return EXIT_OK
 
 
@@ -340,9 +327,6 @@ def cmd_examples(session: Session, args) -> int:
             lines.append(f"  {miss}")
     lines.append(f"{sum(res.ok for res in results)}/{len(results)} fixtures reproduced")
     payload = {
-        "hypotheses": [],
-        "lhs": None,
-        "rhs": None,
         "holds": all_ok,
         "artifacts": {
             "fixtures": [

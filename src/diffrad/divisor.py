@@ -28,16 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DependentInputsError,
-    NonPositiveMultiplicityError,
-    ZeroShiftError,
-    ZeroSumError,
-)
+from .errors import DependentInputsError, NonPositiveMultiplicityError, ZeroSumError
 from .field import FieldElement, FieldTower, compare_real
 from .mason import casoratian, linearly_independent
-from .poly import FactoredPoly, Polynomial, multi_gcd, shift_gcd_factor, shift_window_excess
-from .report import CheckReport, Hypothesis, Statement
+from .poly import (
+    FactoredPoly,
+    Polynomial,
+    multi_gcd,
+    require_order,
+    require_shift,
+    shift_gcd_factor,
+    shift_window_excess,
+)
+from .report import CheckReport, Hypothesis, Statement, chain_report
 
 DEFAULT_PRECISION_BITS = 40
 
@@ -52,7 +55,7 @@ class Divisor:
         merged: dict[FieldElement, int] = {}
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         for point, mult in pairs:
-            point = self._coerce_point(tower, point)
+            point = tower._coerce(point)
             if not isinstance(mult, int) or mult < 1:
                 raise NonPositiveMultiplicityError(
                     f"multiplicity must be a positive integer, got {mult!r}"
@@ -63,16 +66,6 @@ class Divisor:
         object.__setattr__(self, "_points", tuple(sorted(merged, key=lambda e: e.coords)))
         object.__setattr__(self, "_abs_sq", None)
 
-    @staticmethod
-    def _coerce_point(tower: FieldTower, point) -> FieldElement:
-        if isinstance(point, FieldElement):
-            if point.tower is tower or point.tower == tower:
-                return point
-            if tower.extends(point.tower):
-                return point.lift_to(tower)
-            raise ValueError("divisor point lives in an incompatible tower")
-        return tower._coerce(point)
-
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
 
@@ -81,7 +74,7 @@ class Divisor:
         return cls(tower)
 
     def multiplicity(self, point) -> int:
-        return self._support.get(self._coerce_point(self.tower, point), 0)
+        return self._support.get(self.tower._coerce(point), 0)
 
     def support(self) -> tuple[FieldElement, ...]:
         return self._points
@@ -100,7 +93,7 @@ class Divisor:
         return sum(self._support.values())
 
     def translate(self, delta) -> "Divisor":
-        delta = self._coerce_point(self.tower, delta)
+        delta = self.tower._coerce(delta)
         return Divisor(self.tower, [(w + delta, c) for w, c in self._support.items()])
 
     def __len__(self) -> int:
@@ -129,17 +122,13 @@ def divisor_of(f: FactoredPoly) -> Divisor:
 
 def shift_divisor(D: Divisor, kappa) -> Divisor:
     """Divisor of f(z + kappa): the support moves by -kappa."""
-    kappa = D._coerce_point(D.tower, kappa)
-    return D.translate(-kappa)
+    return D.translate(-D.tower._coerce(kappa))
 
 
 def factorial_divisor(D: Divisor, kappa, n: int) -> Divisor:
     """Divisor of the order-n factorial power built from D's function."""
-    kappa = D._coerce_point(D.tower, kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("factorial divisor needs a nonzero shift")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"factorial order must be a positive integer, got {n!r}")
+    kappa = require_shift(D.tower, kappa, "factorial divisor")
+    require_order(n, 1, "factorial order")
     entries = []
     for i in range(n):
         step = kappa * i
@@ -165,11 +154,8 @@ def n_count(D: Divisor, r) -> int:
 
 def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, int]]:
     """ord_w - min over shifts w, w+kappa, ..., w+q*kappa, per support point."""
-    kappa = D._coerce_point(D.tower, kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("truncated counting needs a nonzero shift")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"truncation order must be a positive integer, got {q!r}")
+    kappa = require_shift(D.tower, kappa, "truncated counting")
+    require_order(q, 1, "truncation order")
     out = []
     for w in D.support():
         excess = shift_window_excess(D.multiplicity, w, kappa, q + 1)
@@ -303,13 +289,9 @@ def check_truncation(
     count-level inequality no longer preserves its direction, so those rows
     report values without a verdict.
     """
-    kappa = D._coerce_point(D.tower, kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("truncation check needs a nonzero shift")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"truncation order must be a positive integer, got {q!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"factorial order must be a positive integer, got {n!r}")
+    kappa = require_shift(D.tower, kappa, "truncation check")
+    require_order(q, 1, "truncation order")
+    require_order(n, 1, "factorial order")
     radii = [_as_fraction(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")
@@ -404,9 +386,7 @@ def check_ord_inequality(
     tower = gs[0].tower
     if any(g.tower != tower for g in gs):
         raise ValueError("all summands must share one coefficient tower")
-    kappa_el = tower._coerce(kappa)
-    if kappa_el.is_zero():
-        raise ZeroShiftError("order inequality needs a nonzero shift")
+    kappa_el = require_shift(tower, kappa, "order inequality")
 
     dense = [g.expand() for g in gs]
     total = Polynomial.zero(tower)
@@ -417,91 +397,85 @@ def check_ord_inequality(
     if not linearly_independent(dense):
         raise DependentInputsError("summands are linearly dependent over constants")
 
-    hypotheses = [
-        Hypothesis(
+    def chain():
+        yield Hypothesis(
             "independent",
             True,
             "linearly independent over constants; over polynomials this is "
             "the same as independence over shift-periodic coefficients",
         )
-    ]
-    common = multi_gcd(dense)
-    no_common = common.degree == 0
-    hypotheses.append(
-        Hypothesis(
+        common = multi_gcd(dense)
+        no_common = common.degree == 0
+        yield Hypothesis(
             "no common zeros",
             no_common,
             "gcd of summands is constant" if no_common else f"common factor {common}",
         )
-    )
-    if not no_common:
-        return CheckReport(Statement.ORD_INEQUALITY, tuple(hypotheses))
 
-    C = casoratian(dense, kappa_el)
-    if C.is_zero():
-        raise DependentInputsError("Casoratian vanishes; summands are dependent")
+        C = casoratian(dense, kappa_el)
+        if C.is_zero():
+            raise DependentInputsError("Casoratian vanishes; summands are dependent")
 
-    # certificate for zeros of G lying only on the dense sum
-    M = shift_gcd_factor(total, kappa_el, m)
-    certificate = (C % M).is_zero()
+        # certificate for zeros of G lying only on the dense sum
+        M = shift_gcd_factor(total, kappa_el, m)
+        certificate = (C % M).is_zero()
 
-    candidates: set[FieldElement] = set()
-    for g in gs:
-        for w in g.roots():
-            for i in range(m):
-                candidates.add(w + kappa_el * i)
-    ordered = sorted(candidates, key=lambda e: e.coords)
+        candidates: set[FieldElement] = set()
+        for g in gs:
+            for w in g.roots():
+                for i in range(m):
+                    candidates.add(w + kappa_el * i)
+        ordered = sorted(candidates, key=lambda e: e.coords)
 
-    # g_1 .. g_m answer from their root data, the dense sum g_{m+1} by Horner.
-    ords = [g.ord_at for g in gs] + [total.ord_at]
+        # g_1 .. g_m answer from their root data, the dense sum g_{m+1} by Horner.
+        ords = [g.ord_at for g in gs] + [total.ord_at]
 
-    violations = []
-    point_rows = []
-    for w in ordered:
-        lhs_w = sum(order(w) for order in ords) - C.ord_at(w)
-        rhs_w = sum(shift_window_excess(order, w, kappa_el, m) for order in ords)
-        point_rows.append((w, max(lhs_w, 0), rhs_w))
-        if lhs_w > 0 and lhs_w > rhs_w:
-            violations.append({"point": str(w), "lhs": lhs_w, "rhs": rhs_w})
+        violations = []
+        point_rows = []
+        for w in ordered:
+            lhs_w = sum(order(w) for order in ords) - C.ord_at(w)
+            rhs_w = sum(shift_window_excess(order, w, kappa_el, m) for order in ords)
+            point_rows.append((w, max(lhs_w, 0), rhs_w))
+            if lhs_w > 0 and lhs_w > rhs_w:
+                violations.append({"point": str(w), "lhs": lhs_w, "rhs": rhs_w})
 
-    if radii is None:
-        base = [Fraction(1), Fraction(2), Fraction(5), Fraction(10)]
-        cover = _cover_radius(ordered)
-        radii = sorted(set(base + [cover]))
-    else:
-        radii = sorted({_as_fraction(r) for r in radii})
-        if any(r < 0 for r in radii):
-            raise ValueError("radii must be non-negative")
+        if radii is None:
+            base = [Fraction(1), Fraction(2), Fraction(5), Fraction(10)]
+            cover = _cover_radius(ordered)
+            checked = sorted(set(base + [cover]))
+        else:
+            checked = sorted({_as_fraction(r) for r in radii})
+            if any(r < 0 for r in checked):
+                raise ValueError("radii must be non-negative")
 
-    per_radius = []
-    agg_ok = True
-    last_lhs = last_rhs = 0
-    abs_squares = [w.abs_squared() for w, _, _ in point_rows]
-    for r in radii:
-        r_sq = r * r
-        lhs_r = rhs_r = 0
-        for (w, lhs_w, rhs_w), abs_sq in zip(point_rows, abs_squares):
-            if compare_real(abs_sq, r_sq) <= 0:
-                lhs_r += lhs_w
-                rhs_r += rhs_w
-        ok = lhs_r <= rhs_r
-        agg_ok = agg_ok and ok
-        last_lhs, last_rhs = lhs_r, rhs_r
-        per_radius.append({"r": str(r), "lhs": lhs_r, "rhs": rhs_r, "holds": ok})
+        per_radius = []
+        agg_ok = True
+        last_lhs = last_rhs = 0
+        abs_squares = [w.abs_squared() for w, _, _ in point_rows]
+        for r in checked:
+            r_sq = r * r
+            lhs_r = rhs_r = 0
+            for (w, lhs_w, rhs_w), abs_sq in zip(point_rows, abs_squares):
+                if compare_real(abs_sq, r_sq) <= 0:
+                    lhs_r += lhs_w
+                    rhs_r += rhs_w
+            ok = lhs_r <= rhs_r
+            agg_ok = agg_ok and ok
+            last_lhs, last_rhs = lhs_r, rhs_r
+            per_radius.append({"r": str(r), "lhs": lhs_r, "rhs": rhs_r, "holds": ok})
 
-    holds = not violations and certificate and agg_ok
-    return CheckReport(
-        Statement.ORD_INEQUALITY,
-        tuple(hypotheses),
-        lhs=last_lhs,
-        rhs=last_rhs,
-        holds=holds,
-        artifacts={
-            "m": m,
-            "points_checked": len(ordered),
-            "violations": violations,
-            "shift_gcd_divides_casoratian": certificate,
-            "casoratian_degree": int(C.degree),
-            "per_radius": per_radius,
-        },
-    )
+        return dict(
+            lhs=last_lhs,
+            rhs=last_rhs,
+            holds=not violations and certificate and agg_ok,
+            artifacts={
+                "m": m,
+                "points_checked": len(ordered),
+                "violations": violations,
+                "shift_gcd_divides_casoratian": certificate,
+                "casoratian_degree": int(C.degree),
+                "per_radius": per_radius,
+            },
+        )
+
+    return chain_report(Statement.ORD_INEQUALITY, chain())

@@ -13,16 +13,15 @@ Checked statements, all with exact arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import ZeroShiftError
 from .field import FieldElement
 from .mason import _coprime_hypothesis
-from .poly import Polynomial
-from .report import CheckReport, Hypothesis, Statement
+from .poly import Polynomial, require_order, require_shift
+from .report import CheckReport, Hypothesis, Statement, chain_report
 
 
 class Form(str, Enum):
@@ -33,11 +32,8 @@ class Form(str, Enum):
 
 def factorial_poly(p: Polynomial, kappa, n: int) -> Polynomial:
     """The order-n shifted factorial power of p along kappa."""
-    kappa = p.tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("factorial power needs a nonzero shift")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"factorial order must be a positive integer, got {n!r}")
+    kappa = require_shift(p.tower, kappa, "factorial power")
+    require_order(n, 1, "factorial order")
     out = p
     for j in range(1, n):
         out = out * p.taylor_shift(kappa * j)
@@ -56,10 +52,8 @@ class FermatInstance:
     def __post_init__(self):
         if not self.ps:
             raise ValueError("an instance needs at least one base polynomial")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("exponent n must be a positive integer")
-        if self.kappa.is_zero():
-            raise ZeroShiftError("instance needs a nonzero shift")
+        require_order(self.n, 1, "exponent n")
+        require_shift(self.kappa.tower, self.kappa, "instance")
         if self.form == Form.XYZ and len(self.ps) != 3:
             raise ValueError("form xyz takes exactly three bases")
         if self.form == Form.SUM_FACTORIAL and len(self.ps) < 3:
@@ -92,10 +86,8 @@ class FermatBound(NamedTuple):
 
 def fermat_bound(form: Form, m: int, max_deg: int) -> FermatBound:
     """Exact rational bound on the exponent, plus its integer corollary."""
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"need m >= 2 summands, got {m!r}")
-    if not isinstance(max_deg, int) or max_deg < 1:
-        raise ValueError(f"need a positive maximum degree, got {max_deg!r}")
+    require_order(m, 2, "summand count m")
+    require_order(max_deg, 1, "maximum degree")
     slack = Fraction(m * (m - 1), 2 * max_deg)
     if form in (Form.XYZ, Form.SUM_FACTORIAL):
         return FermatBound(m * m - 1 - slack, m * m - 2)
@@ -107,63 +99,49 @@ def fermat_bound(form: Form, m: int, max_deg: int) -> FermatBound:
 def verify_fermat(inst: FermatInstance, coprimality: str = "setwise") -> CheckReport:
     """Check the equation and hypotheses; no bound comparison yet."""
     tower = inst.ps[0].tower
-    hypotheses = []
 
-    nonzero = all(not p.is_zero() for p in inst.ps)
-    hypotheses.append(
-        Hypothesis("nonzero", nonzero, "all bases nonzero" if nonzero else "a zero base")
-    )
-    if not nonzero:
-        return CheckReport(inst.statement(), tuple(hypotheses))
+    def chain():
+        nonzero = all(not p.is_zero() for p in inst.ps)
+        yield Hypothesis(
+            "nonzero", nonzero, "all bases nonzero" if nonzero else "a zero base"
+        )
 
-    facts = inst.factorials()
-    if inst.form == Form.SUM_ONE:
-        target = Polynomial(tower, (1,))
-        lhs_sum = Polynomial.zero(tower)
-        for f in facts:
-            lhs_sum = lhs_sum + f
-        eq_detail = "factorial powers sum to 1"
-    else:
-        target = facts[-1]
-        lhs_sum = Polynomial.zero(tower)
-        for f in facts[:-1]:
-            lhs_sum = lhs_sum + f
-        eq_detail = "factorial powers of the first bases sum to the last"
-    diff = lhs_sum - target
-    eq_ok = diff.is_zero()
-    hypotheses.append(
-        Hypothesis(
+        facts = inst.factorials()
+        if inst.form == Form.SUM_ONE:
+            target = Polynomial(tower, (1,))
+            lhs_sum = Polynomial.zero(tower)
+            for f in facts:
+                lhs_sum = lhs_sum + f
+            eq_detail = "factorial powers sum to 1"
+        else:
+            target = facts[-1]
+            lhs_sum = Polynomial.zero(tower)
+            for f in facts[:-1]:
+                lhs_sum = lhs_sum + f
+            eq_detail = "factorial powers of the first bases sum to the last"
+        diff = lhs_sum - target
+        eq_ok = diff.is_zero()
+        yield Hypothesis(
             "equation",
             eq_ok,
             eq_detail if eq_ok else f"equation fails, difference {diff}",
         )
-    )
-    if not eq_ok:
-        return CheckReport(inst.statement(), tuple(hypotheses))
 
-    mode = "pairwise" if inst.form == Form.XYZ else coprimality
-    cop = _coprime_hypothesis(facts, mode)
-    hypotheses.append(
-        Hypothesis(f"factorials coprime ({mode})", cop.passed, cop.detail)
-    )
-    if not cop.passed:
-        return CheckReport(inst.statement(), tuple(hypotheses))
+        mode = "pairwise" if inst.form == Form.XYZ else coprimality
+        cop = _coprime_hypothesis(facts, mode)
+        yield Hypothesis(f"factorials coprime ({mode})", cop.passed, cop.detail)
 
-    if inst.form == Form.XYZ:
-        nc_ok = any(p.degree > 0 for p in inst.ps)
-        nc_detail = "not all bases constant" if nc_ok else "all bases constant"
-    else:
-        nc_ok = all(p.degree > 0 for p in inst.ps)
-        nc_detail = "all bases nonconstant" if nc_ok else "a constant base"
-    hypotheses.append(Hypothesis("nonconstant", nc_ok, nc_detail))
-    if not nc_ok:
-        return CheckReport(inst.statement(), tuple(hypotheses))
+        if inst.form == Form.XYZ:
+            nc_ok = any(p.degree > 0 for p in inst.ps)
+            nc_detail = "not all bases constant" if nc_ok else "all bases constant"
+        else:
+            nc_ok = all(p.degree > 0 for p in inst.ps)
+            nc_detail = "all bases nonconstant" if nc_ok else "a constant base"
+        yield Hypothesis("nonconstant", nc_ok, nc_detail)
 
-    return CheckReport(
-        inst.statement(),
-        tuple(hypotheses),
-        artifacts={"n": inst.n, "m": inst.m, "form": inst.form.value},
-    )
+        return dict(artifacts={"n": inst.n, "m": inst.m, "form": inst.form.value})
+
+    return chain_report(inst.statement(), chain())
 
 
 def check_fermat_theorem(inst: FermatInstance, coprimality: str = "setwise") -> CheckReport:
@@ -190,11 +168,6 @@ def check_fermat_theorem(inst: FermatInstance, coprimality: str = "setwise") -> 
         artifacts["corollary_bound"] = bound.corollary
 
     lhs = inst.n
-    return CheckReport(
-        inst.statement(),
-        report.hypotheses,
-        lhs=lhs,
-        rhs=rhs,
-        holds=Fraction(lhs) <= Fraction(rhs),
-        artifacts=artifacts,
+    return replace(
+        report, lhs=lhs, rhs=rhs, holds=Fraction(lhs) <= Fraction(rhs), artifacts=artifacts
     )

@@ -89,12 +89,6 @@ class ComplexInterval:
     def mid(self) -> complex:
         return complex((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
 
-    def contains(self, value: complex) -> bool:
-        return (
-            self.re_lo <= Fraction(value.real) <= self.re_hi
-            and self.im_lo <= Fraction(value.imag) <= self.im_hi
-        )
-
     def __repr__(self):
         return (
             f"ComplexInterval([{float(self.re_lo)}, {float(self.re_hi)}]"

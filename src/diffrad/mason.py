@@ -12,20 +12,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import ZeroShiftError
-from .poly import Polynomial, gcd, multi_gcd
+from .poly import Polynomial, gcd, multi_gcd, require_shift
 from .radical import diff_radical_m
-from .report import CheckReport, Hypothesis, Statement
+from .report import CheckReport, Hypothesis, Statement, chain_report
 
 
 def casoratian(ps: Sequence[Polynomial], kappa) -> Polynomial:
     """det of the m x m matrix with entry (i, j) = p_j(z + i*kappa)."""
     if not ps:
         raise ValueError("casoratian of an empty list")
-    tower = ps[0].tower
-    kappa = tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("casoratian needs a nonzero shift")
+    kappa = require_shift(ps[0].tower, kappa, "casoratian")
     rows = [list(ps)]
     for i in range(1, len(ps)):
         rows.append([p.taylor_shift(kappa * i) for p in ps])
@@ -119,53 +115,38 @@ def _coprime_hypothesis(ps: Sequence[Polynomial], mode: str) -> Hypothesis:
 
 def check_mason_triple(a: Polynomial, b: Polynomial, c: Polynomial, kappa) -> CheckReport:
     """max deg <= n~(a) + n~(b) + n~(c) - 1 for coprime a + b = c."""
-    tower = a.tower
-    kappa = tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("check needs a nonzero shift")
+    kappa = require_shift(a.tower, kappa, "check")
     ps = [a, b, c]
-    hypotheses = []
 
-    nonzero = all(not p.is_zero() for p in ps)
-    hypotheses.append(
-        Hypothesis("nonzero", nonzero, "all of a, b, c nonzero" if nonzero else "a zero input")
-    )
-    if not nonzero:
-        return CheckReport(Statement.MASON_TRIPLE, tuple(hypotheses))
+    def chain():
+        nonzero = all(not p.is_zero() for p in ps)
+        yield Hypothesis(
+            "nonzero", nonzero, "all of a, b, c nonzero" if nonzero else "a zero input"
+        )
+        sum_ok = (a + b) == c
+        yield Hypothesis("sum", sum_ok, "a + b = c" if sum_ok else "a + b differs from c")
+        yield _coprime_hypothesis(ps, "pairwise")
+        nonconst = any(p.degree > 0 for p in ps)
+        yield Hypothesis(
+            "nonconstant", nonconst, "not all constant" if nonconst else "all constant"
+        )
 
-    sum_ok = (a + b) == c
-    hypotheses.append(Hypothesis("sum", sum_ok, "a + b = c" if sum_ok else "a + b differs from c"))
-    if not sum_ok:
-        return CheckReport(Statement.MASON_TRIPLE, tuple(hypotheses))
+        results = [diff_radical_m(p, kappa, 2) for p in ps]
+        tildes = [r.n_tilde for r in results]
+        lhs = max(int(p.degree) for p in ps)
+        rhs = sum(tildes) - 1
+        return dict(
+            lhs=lhs,
+            rhs=rhs,
+            holds=lhs <= rhs,
+            artifacts={
+                "n_tilde": tildes,
+                "radicals": [str(r.radical) for r in results],
+                "sharp": lhs == rhs,
+            },
+        )
 
-    cop = _coprime_hypothesis(ps, "pairwise")
-    hypotheses.append(cop)
-    if not cop.passed:
-        return CheckReport(Statement.MASON_TRIPLE, tuple(hypotheses))
-
-    nonconst = any(p.degree > 0 for p in ps)
-    hypotheses.append(
-        Hypothesis("nonconstant", nonconst, "not all constant" if nonconst else "all constant")
-    )
-    if not nonconst:
-        return CheckReport(Statement.MASON_TRIPLE, tuple(hypotheses))
-
-    results = [diff_radical_m(p, kappa, 2) for p in ps]
-    tildes = [r.n_tilde for r in results]
-    lhs = max(int(p.degree) for p in ps)
-    rhs = sum(tildes) - 1
-    return CheckReport(
-        Statement.MASON_TRIPLE,
-        tuple(hypotheses),
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        artifacts={
-            "n_tilde": tildes,
-            "radicals": [str(r.radical) for r in results],
-            "sharp": lhs == rhs,
-        },
-    )
+    return chain_report(Statement.MASON_TRIPLE, chain())
 
 
 def check_mason_multi(
@@ -180,75 +161,56 @@ def check_mason_multi(
         raise ValueError("need at least 3 polynomials (m >= 2 summands plus the sum)")
     m = len(ps) - 1
     tower = ps[0].tower
-    kappa = tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("check needs a nonzero shift")
-    hypotheses = []
+    kappa = require_shift(tower, kappa, "check")
 
-    nonzero = all(not p.is_zero() for p in ps)
-    hypotheses.append(
-        Hypothesis("nonzero", nonzero, "all inputs nonzero" if nonzero else "a zero input")
-    )
-    if not nonzero:
-        return CheckReport(Statement.MASON_MULTI, tuple(hypotheses))
-
-    total = Polynomial.zero(tower)
-    for p in ps[:-1]:
-        total = total + p
-    sum_ok = total == ps[-1]
-    hypotheses.append(
-        Hypothesis(
+    def chain():
+        nonzero = all(not p.is_zero() for p in ps)
+        yield Hypothesis(
+            "nonzero", nonzero, "all inputs nonzero" if nonzero else "a zero input"
+        )
+        total = Polynomial.zero(tower)
+        for p in ps[:-1]:
+            total = total + p
+        sum_ok = total == ps[-1]
+        yield Hypothesis(
             "sum",
             sum_ok,
             "a_1 + ... + a_m = a_{m+1}" if sum_ok else "sum differs from the last entry",
         )
-    )
-    if not sum_ok:
-        return CheckReport(Statement.MASON_MULTI, tuple(hypotheses))
-
-    cop = _coprime_hypothesis(ps, coprimality)
-    hypotheses.append(cop)
-    if not cop.passed:
-        return CheckReport(Statement.MASON_MULTI, tuple(hypotheses))
-
-    indep = linearly_independent(ps[:-1])
-    hypotheses.append(
-        Hypothesis(
+        yield _coprime_hypothesis(ps, coprimality)
+        indep = linearly_independent(ps[:-1])
+        yield Hypothesis(
             "independent",
             indep,
             "first m linearly independent over the constants"
             if indep
             else "first m linearly dependent",
         )
-    )
-    if not indep:
-        return CheckReport(Statement.MASON_MULTI, tuple(hypotheses))
 
-    results = [diff_radical_m(p, kappa, m) for p in ps]
-    tildes = [r.n_tilde for r in results]
-    lhs = max(int(p.degree) for p in ps)
-    rhs = sum(tildes) - m * (m - 1) // 2
+        results = [diff_radical_m(p, kappa, m) for p in ps]
+        tildes = [r.n_tilde for r in results]
+        lhs = max(int(p.degree) for p in ps)
+        rhs = sum(tildes) - m * (m - 1) // 2
 
-    cas = casoratian(ps[:-1], kappa)
-    # Each cofactor is already the monic gcd of the m shifts of its input.
-    q = Polynomial(tower, (1,))
-    for r in results:
-        q = q * r.cofactor
-    divisible = not cas.is_zero() and (cas % q).is_zero()
+        cas = casoratian(ps[:-1], kappa)
+        # Each cofactor is already the monic gcd of the m shifts of its input.
+        q = Polynomial(tower, (1,))
+        for r in results:
+            q = q * r.cofactor
+        divisible = not cas.is_zero() and (cas % q).is_zero()
+        return dict(
+            lhs=lhs,
+            rhs=rhs,
+            holds=lhs <= rhs,
+            artifacts={
+                "m": m,
+                "n_tilde": tildes,
+                "coprimality": coprimality,
+                "casoratian_degree": int(cas.degree) if not cas.is_zero() else None,
+                "shift_gcd_product_degree": int(q.degree),
+                "casoratian_divisible_by_gcd_product": divisible,
+                "sharp": lhs == rhs,
+            },
+        )
 
-    return CheckReport(
-        Statement.MASON_MULTI,
-        tuple(hypotheses),
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        artifacts={
-            "m": m,
-            "n_tilde": tildes,
-            "coprimality": coprimality,
-            "casoratian_degree": int(cas.degree) if not cas.is_zero() else None,
-            "shift_gcd_product_degree": int(q.degree),
-            "casoratian_divisible_by_gcd_product": divisible,
-            "sharp": lhs == rhs,
-        },
-    )
+    return chain_report(Statement.MASON_MULTI, chain())

@@ -106,9 +106,9 @@ class _Parser:
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek()[1] in ("*", "/"):
-            op, _, pos = self.advance()
+            _, op, pos = self.advance()
             rhs = self.factor()
-            if _ == "*":
+            if op == "*":
                 acc = acc * rhs
             else:
                 if not rhs.is_constant() or rhs.is_zero():
@@ -177,14 +177,7 @@ class _Parser:
 
     # -- entry points ------------------------------------------------------
 
-    def parse_expr_only(self) -> Polynomial:
-        out = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", pos)
-        return out
-
-    def parse_root_mult(self) -> tuple[FieldElement, int]:
+    def root_mult(self) -> tuple[FieldElement, int]:
         pos0 = self.peek()[2]
         self.expect("(")
         root = self.expr()
@@ -206,26 +199,41 @@ class _Parser:
         self.expect(")")
         return root.constant_value(), sign * int(text)
 
-    def parse_factored_body(self) -> FactoredPoly:
+    def factored(self) -> FactoredPoly:
         lead = self.expr()
         if not lead.is_constant():
             raise ParseError("leading coefficient must be a constant", 0)
         self.expect(";")
         entries = []
         if self.peek()[0] != "end":
-            entries.append(self.parse_root_mult())
+            entries.append(self.root_mult())
             while self.peek()[1] == ",":
                 self.advance()
-                entries.append(self.parse_root_mult())
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", pos)
+                entries.append(self.root_mult())
         return FactoredPoly(lead.constant_value(), entries)
+
+
+def _parse_all(src: str, tower: FieldTower, rule):
+    """Apply one grammar rule to the whole of src.
+
+    Each nesting level ('(', sqrt or a unary minus) recurses, so input
+    nested past the interpreter's recursion limit is refused as a
+    ParseError at the token where parsing stopped.
+    """
+    p = _Parser(src, tower)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise ParseError("input nested too deeply", p.peek()[2]) from None
+    kind, text, pos = p.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {text!r}", pos)
+    return out
 
 
 def parse_poly(src: str, tower: FieldTower) -> Polynomial:
     """Parse an expression into a polynomial over the tower."""
-    return _Parser(src, tower).parse_expr_only()
+    return _parse_all(src, tower, _Parser.expr)
 
 
 def parse_constant(src: str, tower: FieldTower) -> FieldElement:
@@ -238,17 +246,12 @@ def parse_constant(src: str, tower: FieldTower) -> FieldElement:
 
 def parse_factored(src: str, tower: FieldTower) -> FactoredPoly:
     """Parse `gamma ; (root, mult), (root, mult), ...` into factored form."""
-    return _Parser(src, tower).parse_factored_body()
+    return _parse_all(src, tower, _Parser.factored)
 
 
 def parse_root_mult(src: str, tower: FieldTower) -> tuple[FieldElement, int]:
     """Parse a single `(root, mult)` entry (divisor file lines)."""
-    p = _Parser(src, tower)
-    out = p.parse_root_mult()
-    kind, text, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {text!r}", pos)
-    return out
+    return _parse_all(src, tower, _Parser.root_mult)
 
 
 def iter_objects(lines: Iterable[str]):

@@ -19,6 +19,24 @@ NEG_INF = float("-inf")
 CoeffLike = Union[int, Fraction, FieldElement]
 
 
+# -- argument checks shared by every shift and order parameter ---------------
+
+
+def require_shift(tower: FieldTower, kappa, what: str) -> FieldElement:
+    """kappa coerced into the tower; a zero shift raises ZeroShiftError."""
+    kappa = tower._coerce(kappa)
+    if kappa.is_zero():
+        raise ZeroShiftError(f"{what} needs a nonzero shift")
+    return kappa
+
+
+def require_order(value, low: int, what: str) -> None:
+    """Raise ValueError unless value is an int >= low."""
+    if not isinstance(value, int) or value < low:
+        kind = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
 class Polynomial:
     """Coefficients ascending by degree, trailing zeros trimmed."""
 
@@ -144,8 +162,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be natural numbers")
+        require_order(n, 0, "polynomial power")
         result = Polynomial(self.tower, (1,))
         for _ in range(n):
             result = result * self
@@ -234,9 +251,7 @@ class Polynomial:
 
     def delta(self, kappa: CoeffLike) -> "Polynomial":
         """Forward difference p(z + kappa) - p(z); kappa must be nonzero."""
-        kappa = self.tower._coerce(kappa)
-        if kappa.is_zero():
-            raise ZeroShiftError("difference operator needs a nonzero shift")
+        kappa = require_shift(self.tower, kappa, "difference operator")
         return self.taylor_shift(kappa) - self
 
     def derivative(self) -> "Polynomial":
@@ -313,8 +328,7 @@ def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
     1..k+1 and G_k is the gcd of the shifts 0..k.  Each step shifts only
     G_k, always by kappa, and the chain stops once G_k is constant.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"shift window must hold at least one shift, got {m!r}")
+    require_order(m, 1, "shift window")
     kappa = p.tower._coerce(kappa)
     g = p.monic()
     for _ in range(1, m):

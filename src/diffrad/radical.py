@@ -11,8 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ZeroPolynomialError, ZeroShiftError
-from .poly import FactoredPoly, Polynomial, gcd, shift_gcd_factor, shift_window_excess
+from .errors import ZeroPolynomialError
+from .poly import (
+    FactoredPoly,
+    Polynomial,
+    gcd,
+    require_order,
+    require_shift,
+    shift_gcd_factor,
+    shift_window_excess,
+)
 
 
 @dataclass(frozen=True)
@@ -28,24 +36,16 @@ class RadicalResult:
         return (self.cofactor * self.radical).scale(self.leading)
 
 
-def _check_inputs(p: Polynomial, kappa) -> object:
-    if p.is_zero():
-        raise ZeroPolynomialError("radical of the zero polynomial is undefined")
-    kappa = p.tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("difference radical needs a nonzero shift")
-    return kappa
-
-
 def diff_radical_m(p: Polynomial, kappa, m: int = 2) -> RadicalResult:
     """Order-m difference radical along the kappa-lattice (gcd route).
 
     The cofactor is the monic gcd of p(z), p(z+kappa), ..., p(z+(m-1)kappa);
     the radical is the monic exact quotient p / cofactor.
     """
-    kappa = _check_inputs(p, kappa)
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"radical order must be an integer >= 2, got {m!r}")
+    if p.is_zero():
+        raise ZeroPolynomialError("radical of the zero polynomial is undefined")
+    kappa = require_shift(p.tower, kappa, "difference radical")
+    require_order(m, 2, "radical order")
     cofactor = shift_gcd_factor(p, kappa, m)
     radical = p.divide_exact(cofactor).monic()
     return RadicalResult(
@@ -89,11 +89,8 @@ def _chain_exponents(f: FactoredPoly, kappa, m: int) -> dict:
 
 def diff_radical_from_roots(f: FactoredPoly, kappa, m: int = 2) -> RadicalResult:
     """Root-route oracle for diff_radical_m on factored input."""
-    kappa = f.tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("difference radical needs a nonzero shift")
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"radical order must be an integer >= 2, got {m!r}")
+    kappa = require_shift(f.tower, kappa, "difference radical")
+    require_order(m, 2, "radical order")
     exponents = _chain_exponents(f, kappa, m)
     one = f.tower.one
     radical_factors = [(r, e) for r, e in exponents.items() if e > 0]
@@ -116,11 +113,8 @@ def n_tilde_sum_bound(f: FactoredPoly, kappa, m: int) -> tuple[int, int]:
     The left side never exceeds the right: a root surviving the m-window
     survives some single jump.  Both sides come from root data.
     """
-    kappa = f.tower._coerce(kappa)
-    if kappa.is_zero():
-        raise ZeroShiftError("difference radical needs a nonzero shift")
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"order must be an integer >= 2, got {m!r}")
+    kappa = require_shift(f.tower, kappa, "difference radical")
+    require_order(m, 2, "order")
     lhs = sum(_chain_exponents(f, kappa, m).values())
     rhs = 0
     for j in range(1, m):

@@ -4,6 +4,9 @@ Failed hypotheses never raise; they come back marked in the report and the
 verdict stays undefined (holds is None).  A False verdict with all hypotheses
 passing means a proved inequality failed on exact data, which is a bug signal,
 and the CLI maps it to its own exit code.
+
+Every checker states its hypotheses as a generator and hands it to
+chain_report, the one place that stops at the first failed hypothesis.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Generator, Optional, Union
 
 
 class Statement(str, Enum):
@@ -60,22 +63,38 @@ class CheckReport:
         return 0 if self.holds else 1
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            if isinstance(v, Fraction):
-                return str(v) if v.denominator != 1 else int(v)
-            return v
-
         return {
             "statement": self.statement.value,
             "hypotheses": [
                 {"name": h.name, "pass": h.passed, "detail": h.detail}
                 for h in self.hypotheses
             ],
-            "lhs": num(self.lhs),
-            "rhs": num(self.rhs),
+            "lhs": _jsonable(self.lhs),
+            "rhs": _jsonable(self.rhs),
             "holds": self.holds,
             "artifacts": _jsonable(self.artifacts),
         }
+
+
+def chain_report(
+    statement: Statement, chain: Generator[Hypothesis, None, dict]
+) -> CheckReport:
+    """Run a checker's hypothesis chain and build its report.
+
+    The chain yields its hypotheses in order and, once every one of them
+    passed, returns the verdict as CheckReport keyword arguments (lhs, rhs,
+    holds, artifacts).  The first failed hypothesis ends the chain there:
+    nothing after it is computed and the report has no verdict.
+    """
+    hypotheses = []
+    while True:
+        try:
+            hypothesis = next(chain)
+        except StopIteration as done:
+            return CheckReport(statement, tuple(hypotheses), **done.value)
+        hypotheses.append(hypothesis)
+        if not hypothesis.passed:
+            return CheckReport(statement, tuple(hypotheses))
 
 
 def _jsonable(value):

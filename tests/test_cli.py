@@ -305,3 +305,24 @@ def test_enclosure_width_error_is_a_domain_error(monkeypatch, capsys):
     assert main(["divisor", "--divisor", "(1 + sqrt(2),1)", "--radii", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("diffrad: enclosure wider than") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 400 + "z" + ")" * 400, "z+" + "-" * 2000 + "z"],
+    ids=["400 parentheses", "2000 minus signs"],
+)
+def test_deeply_nested_input_is_a_parse_error(capsys, expr):
+    assert main(["radical", expr]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diffrad: input nested too deeply") and "Traceback" not in err
+    code, out = run(capsys, ["radical", "(" * 100 + "z" + ")" * 100])
+    assert code == 0 and "n_tilde: 1" in out
+
+
+def test_undecodable_divisor_file_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "divisor.txt"
+    path.write_bytes(b"\xff\xfe(1,1)")
+    assert main(["divisor", "--file", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"diffrad: cannot read {path}") and "Traceback" not in err

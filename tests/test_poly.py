@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import diffrad
 import naive_poly
 from diffrad import FactoredPoly, FieldTower, Polynomial, gcd, multi_gcd, shift_gcd_factor
 from diffrad.errors import (
@@ -317,3 +318,120 @@ def test_kernels_lift_subtower_operands(tower):
             a * b
         with pytest.raises(ValueError):
             divmod(a * a * a, b)
+
+
+# -- the shift and order contract of every public entry point --------------
+#
+# name -> (call with shift kappa, call with order n, lowest valid order).
+# A zero shift must raise ZeroShiftError, an order below the lowest valid one
+# or of a type other than int a plain ValueError; the lowest order passes.
+
+
+def _z(t):
+    return Polynomial.variable(t)
+
+
+def _f(t):
+    return FactoredPoly(t.one, [(0, 2), (1, 1)])
+
+
+def _d(t):
+    return diffrad.Divisor(t, {0: 2, 1: 1})
+
+
+def _g(t):
+    return [FactoredPoly(t.one, [(0, 1)]), FactoredPoly(t.one, [(1, 1)])]
+
+
+SHIFT_AND_ORDER_ENTRY_POINTS = {
+    "Polynomial.delta": (lambda t, k: _z(t).delta(k), None, None),
+    "Polynomial.__pow__": (None, lambda t, n: _z(t) ** n, 0),
+    "shift_gcd_factor": (None, lambda t, n: shift_gcd_factor(_z(t), 1, n), 1),
+    "diff_radical": (lambda t, k: diffrad.diff_radical(_z(t), k), None, None),
+    "diff_radical_m": (
+        lambda t, k: diffrad.diff_radical_m(_z(t), k, 2),
+        lambda t, n: diffrad.diff_radical_m(_z(t), 1, n),
+        2,
+    ),
+    "n_tilde": (
+        lambda t, k: diffrad.n_tilde(_z(t), k),
+        lambda t, n: diffrad.n_tilde(_z(t), 1, n),
+        2,
+    ),
+    "diff_radical_from_roots": (
+        lambda t, k: diffrad.diff_radical_from_roots(_f(t), k),
+        lambda t, n: diffrad.diff_radical_from_roots(_f(t), 1, n),
+        2,
+    ),
+    "n_tilde_sum_bound": (
+        lambda t, k: diffrad.n_tilde_sum_bound(_f(t), k, 2),
+        lambda t, n: diffrad.n_tilde_sum_bound(_f(t), 1, n),
+        2,
+    ),
+    "factorial_poly": (
+        lambda t, k: diffrad.factorial_poly(_z(t), k, 2),
+        lambda t, n: diffrad.factorial_poly(_z(t), 1, n),
+        1,
+    ),
+    "FermatInstance": (
+        lambda t, k: diffrad.FermatInstance((_z(t),) * 3, t._coerce(k), 1, diffrad.Form.XYZ),
+        lambda t, n: diffrad.FermatInstance((_z(t),) * 3, t.one, n, diffrad.Form.XYZ),
+        1,
+    ),
+    "fermat_bound m": (None, lambda t, n: diffrad.fermat_bound(diffrad.Form.SUM_ONE, n, 3), 2),
+    "fermat_bound max_deg": (
+        None,
+        lambda t, n: diffrad.fermat_bound(diffrad.Form.SUM_ONE, 2, n),
+        1,
+    ),
+    "casoratian": (lambda t, k: diffrad.casoratian([_z(t), _z(t) ** 2], k), None, None),
+    "check_mason_triple": (
+        lambda t, k: diffrad.check_mason_triple(_z(t), _z(t) + 1, _z(t) * 2 + 1, k),
+        None,
+        None,
+    ),
+    "check_mason_multi": (
+        lambda t, k: diffrad.check_mason_multi([_z(t), _z(t) + 1, _z(t) * 2 + 1], k),
+        None,
+        None,
+    ),
+    "factorial_divisor": (
+        lambda t, k: diffrad.factorial_divisor(_d(t), k, 2),
+        lambda t, n: diffrad.factorial_divisor(_d(t), 1, n),
+        1,
+    ),
+    "n_tilde_q": (
+        lambda t, k: diffrad.n_tilde_q(_d(t), k, 1, 1),
+        lambda t, n: diffrad.n_tilde_q(_d(t), 1, n, 1),
+        1,
+    ),
+    "N_tilde_q_integrated": (
+        lambda t, k: diffrad.N_tilde_q_integrated(_d(t), k, 1, 2),
+        lambda t, n: diffrad.N_tilde_q_integrated(_d(t), 1, n, 2),
+        1,
+    ),
+    "check_truncation q": (
+        lambda t, k: diffrad.check_truncation(_d(t), k, 1, 1, [2]),
+        lambda t, n: diffrad.check_truncation(_d(t), 1, n, 1, [2]),
+        1,
+    ),
+    "check_truncation n": (None, lambda t, n: diffrad.check_truncation(_d(t), 1, 1, n, [2]), 1),
+    "check_ord_inequality": (lambda t, k: diffrad.check_ord_inequality(_g(t), k), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_AND_ORDER_ENTRY_POINTS))
+def test_shift_and_order_contract(tower, name):
+    shift_call, order_call, low = SHIFT_AND_ORDER_ENTRY_POINTS[name]
+    if shift_call is not None:
+        for zero in (0, Fraction(0), tower.zero):
+            with pytest.raises(ZeroShiftError, match="needs a nonzero shift"):
+                shift_call(tower, zero)
+        shift_call(tower, tower.sqrt_gen(0))
+    if order_call is not None:
+        for bad in (low - 1, Fraction(low), float(low)):
+            with pytest.raises(ValueError) as exc:
+                order_call(tower, bad)
+            assert type(exc.value) is ValueError
+            assert repr(bad) in str(exc.value)
+        order_call(tower, low)
