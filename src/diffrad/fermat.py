@@ -53,7 +53,8 @@ class FermatInstance:
         if not self.ps:
             raise ValueError("an instance needs at least one base polynomial")
         require_order(self.n, 1, "exponent n")
-        require_shift(self.kappa.tower, self.kappa, "instance")
+        # The dataclass is frozen; store kappa coerced into the bases' tower.
+        object.__setattr__(self, "kappa", require_shift(self.ps[0].tower, self.kappa, "instance"))
         if self.form == Form.XYZ and len(self.ps) != 3:
             raise ValueError("form xyz takes exactly three bases")
         if self.form == Form.SUM_FACTORIAL and len(self.ps) < 3:

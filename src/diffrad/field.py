@@ -286,7 +286,7 @@ class FieldTower:
 
     __slots__ = (
         "_gens", "_signs", "_table", "_tden", "_flips", "_pad", "_box_cache", "_sqrt_cache",
-        "_hash",
+        "_fp_images", "_hash",
     )
 
     def __init__(self, gens=(), signs=()):
@@ -302,6 +302,8 @@ class FieldTower:
         self._box_cache: dict = {}
         # Branch-selected roots by rational radicand, None where there is none.
         self._sqrt_cache: dict = {}
+        # Images in F_p for the modular gcd, found on first use (modular.images).
+        self._fp_images = None
         self._hash = hash(self._gens)
 
     @classmethod

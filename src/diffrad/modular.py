@@ -1,0 +1,303 @@
+"""Images of a quadratic tower in F_p, the modular route of `poly.gcd`.
+
+A prime p suits a tower when p divides no radicand or structure denominator
+and every radicand maps to a nonzero square mod p on every sign branch of
+the earlier roots.  Then each choice of signs s = (s_0, ..., s_{k-1}) gives
+a ring map phi_s from the p-integral elements of the tower onto F_p, sending
+the j-th root to s_j times a fixed square root of the image of its radicand.
+The 2**k maps act on a coordinate vector like a butterfly transform, one
+generator at a time (x = lo + hi*sqrt(d) goes to phi(lo) +- r*phi(hi)), and
+the transform inverts the same way, as `field._inv` splits an element.
+
+Everything here runs on raw integer coordinates and touches no FieldElement
+arithmetic.  The suitable primes of a tower are found lazily, in the fixed
+order of PRIMES, and remembered on the tower.
+"""
+
+from __future__ import annotations
+
+from math import gcd, isqrt, lcm
+
+from .field import FieldTower, _make
+
+# Primes p = 1 (mod 8*3*5*7*11*13) just below 2**62, largest first.  For
+# each of them -1, 2, 3, 5, 7, 11 and 13 are squares mod p (quadratic
+# reciprocity), so every one suits Q(i, sqrt(2), sqrt(3)) and any tower whose
+# radicands are products of those numbers.
+PRIMES = (
+    4611686018424565081, 4611686018424204721, 4611686018423844361, 4611686018423363881,
+    4611686018423123641, 4611686018422643161, 4611686018422282801, 4611686018421682201,
+    4611686018420961481, 4611686018420360881, 4611686018417838361, 4611686018417478001,
+    4611686018416396921, 4611686018414354881, 4611686018413153681, 4611686018413033561,
+    4611686018412913441, 4611686018412793321, 4611686018411952481, 4611686018411472001,
+    4611686018410871401, 4611686018410511041, 4611686018410030561, 4611686018409429961,
+    4611686018408829361, 4611686018406426961, 4611686018405105641, 4611686018402583121,
+    4611686018402102641, 4611686018400060601, 4611686018398859401, 4611686018398619161,
+)
+
+# Suitable primes one gcd tries before `poly.gcd` falls back to Euclid.
+MAX_PRIMES = 8
+
+
+class Image:
+    """The 2**k ring maps of one tower into F_p.
+
+    Branch b takes the sign - for root j when bit j of b is set.  `roots[j]`
+    lists the chosen square root of the j-th radicand's image under each
+    branch of the first j roots; `rho0[s]` is the image of basis element e_s
+    under branch 0 (all signs +).
+    """
+
+    __slots__ = ("p", "roots", "rho0", "forward", "backward")
+
+    def __init__(self, p: int, roots: list):
+        self.p = p
+        self.roots = roots
+        rho0 = [1]
+        for rj in roots:
+            rho0 += [x * rj[0] % p for x in rho0]
+        self.rho0 = rho0
+        self.forward = _butterflies(roots, len(rho0))
+        # The inverse undoes the last generator first: lo = (u + v) / 2 and
+        # hi = (u - v) / (2r) for u = lo + r*hi, v = lo - r*hi.
+        self.backward = [(t, u, pow(2 * r, -1, p)) for t, u, r in reversed(self.forward)]
+
+
+def _butterflies(roots: list, n: int) -> list:
+    """(t, u, r) steps taking coordinates to branch values on vectors of length n."""
+    steps = []
+    h = 1
+    while h < n:
+        rj = roots[h.bit_length() - 1]
+        steps += [(t, t | h, rj[t & (h - 1)]) for t in range(n) if not t & h]
+        h <<= 1
+    return steps
+
+
+def _transform(v: list, steps: list, p: int) -> list:
+    """Coordinates to branch values, in place."""
+    for t, u, r in steps:
+        a, b = v[t], v[u] * r
+        v[t], v[u] = (a + b) % p, (a - b) % p
+    return v
+
+
+def _untransform(v: list, steps: list, p: int) -> list:
+    """Branch values back to coordinates, in place (steps from Image.backward)."""
+    half = (p + 1) >> 1
+    for t, u, w in steps:
+        a, b = v[t], v[u]
+        v[t], v[u] = (a + b) * half % p, (a - b) * w % p
+    return v
+
+
+def _sqrt_mod(v: int, p: int, s: int, c: int):
+    """A square root of v mod p, or None unless v is a nonzero square.
+
+    Tonelli-Shanks for p = q*2**s + 1 with q odd, given c = z**q for a
+    non-square z.  r*r = t*v throughout, and each pass lowers the order of t,
+    2**i, so the loops end; t of order 2**s means v is not a square.
+    """
+    if not v:
+        return None
+    x = pow(v, (p - 1) >> (s + 1), p)
+    r = x * v % p
+    t = x * r % p
+    m = s
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == m:
+                return None
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _image(tower: FieldTower, p: int):
+    """The tower's Image mod p, or None when p does not suit the tower."""
+    if tower._tden % p == 0:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    half = (p - 1) >> 1
+    z = next(z for z in range(2, p) if pow(z, half, p) == p - 1)
+    c = pow(z, (p - 1) >> s, p)
+    roots: list = []
+    for num, den in tower._gens:
+        if den % p == 0:
+            return None
+        dinv = pow(den, -1, p)
+        values = _transform([x % p for x in num], _butterflies(roots, len(num)), p)
+        level = [_sqrt_mod(v * dinv % p, p, s, c) for v in values]
+        if None in level:
+            return None
+        roots.append(level)
+    return Image(p, roots)
+
+
+def images(tower: FieldTower):
+    """The tower's first MAX_PRIMES images, in PRIMES order.
+
+    The search runs on the raw radicand coordinates and is memoised on the
+    tower: a generator resumes the scan only past the images found so far.
+    """
+    memo = tower._fp_images
+    if memo is None:
+        memo = tower._fp_images = [[], 0]  # found images, next index into PRIMES
+    found = memo[0]
+    for k in range(MAX_PRIMES):
+        while len(found) == k and memo[1] < len(PRIMES):
+            image = _image(tower, PRIMES[memo[1]])
+            memo[1] += 1
+            if image is not None:
+                found.append(image)
+        if len(found) == k:
+            return
+        yield found[k]
+
+
+# -- polynomials mod p --------------------------------------------------------
+
+
+def _branch0(coeffs, image: Image):
+    """Residues of the coefficients under branch 0, or None if p divides a denominator."""
+    p, rho = image.p, image.rho0
+    out = []
+    for c in coeffs:
+        den = c._den % p
+        if not den:
+            return None
+        acc = sum([x * r for x, r in zip(c._num, rho) if x])
+        out.append(acc * pow(den, -1, p) % p if den != 1 else acc % p)
+    return out
+
+
+def _all_branches(coeffs, image: Image):
+    """The polynomial's images under every branch, as one residue list per branch.
+
+    Assumes no denominator vanishes (branch 0 was taken first).
+    """
+    p, steps = image.p, image.forward
+    columns = []
+    for c in coeffs:
+        v = _transform([x % p for x in c._num], steps, p)
+        if c._den != 1:
+            dinv = pow(c._den, -1, p)
+            v = [x * dinv % p for x in v]
+        columns.append(v)
+    return [list(row) for row in zip(*columns)]
+
+
+def gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd in F_p[z] of two residue lists (ascending) with nonzero leads."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if b[-1] != 1:
+            inv = pow(b[-1], -1, p)
+            b = [x * inv % p for x in b]
+        low = b[:-1]
+        db = len(low)
+        r = list(a)
+        for k in range(len(r) - 1, db - 1, -1):
+            c = r[k]
+            if c:
+                base = k - db
+                r[base:k] = [(x - c * y) % p for x, y in zip(r[base:k], low)]
+        del r[db:]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return a
+
+
+# -- rational reconstruction ----------------------------------------------------
+
+
+def _rational(u: int, m: int, bound: int):
+    """(n, d) with n = d*u (mod m), |n| <= bound, 0 < d <= bound, gcd 1; else None.
+
+    Wang's half-extended Euclid on (m, u).
+    """
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _reconstruct(tower: FieldTower, residues: list, m: int):
+    """Field elements whose coordinates reduce to the residues mod m, or None."""
+    bound = isqrt(m >> 1)
+    out = []
+    for coords in residues:
+        fracs = []
+        for u in coords:
+            f = _rational(u, m, bound) if u else (0, 1)
+            if f is None:
+                return None
+            fracs.append(f)
+        den = lcm(*[d for _, d in fracs])
+        out.append(_make(tower, tuple([n * (den // d) for n, d in fracs]), den))
+    return out
+
+
+def gcd_candidates(a: list, b: list, tower: FieldTower):
+    """Candidates for the monic gcd of two coefficient lists of degree >= 1.
+
+    Yields the coefficient lists (ascending, monic) that the modular images
+    support, each to be proved or refuted by exact division; yields [one]
+    only when an image proves the inputs coprime.  Stops after MAX_PRIMES
+    suitable primes, leaving the rest to Euclid.
+
+    A prime is skipped when it divides a coefficient denominator or an
+    input's leading coefficient vanishes under a branch.  Images whose gcd
+    degree differs between branches, or exceeds the lowest degree seen, are
+    unlucky and dropped; a lower degree restarts the Chinese remaindering.
+    """
+    best = None  # the image degree the accumulated residues belong to
+    acc = m = None
+    for image in images(tower):
+        p = image.p
+        fa, fb = _branch0(a, image), _branch0(b, image)
+        if fa is None or fb is None or not fa[-1] or not fb[-1]:
+            continue
+        g0 = gcd_mod(fa, fb, p)
+        if len(g0) == 1:
+            yield [tower.one]
+            return
+        if best is not None and len(g0) > best:
+            continue
+        rows_a, rows_b = _all_branches(a, image), _all_branches(b, image)
+        if not all(row[-1] for row in rows_a) or not all(row[-1] for row in rows_b):
+            continue
+        branches = [g0] + [gcd_mod(x, y, p) for x, y in zip(rows_a[1:], rows_b[1:])]
+        sizes = {len(g) for g in branches}
+        if min(sizes) == 1:
+            yield [tower.one]
+            return
+        if len(sizes) > 1:
+            continue
+        size = sizes.pop()
+        # Coordinates of each non-leading coefficient, back from its branch values.
+        residues = [_untransform(list(col), image.backward, p) for col in zip(*branches)]
+        del residues[-1]
+        if best is None or size < best:
+            best, acc, m = size, residues, p
+        else:
+            minv = pow(m, -1, p)
+            acc = [
+                [x + m * ((y - x) * minv % p) for x, y in zip(xs, ys)]
+                for xs, ys in zip(acc, residues)
+            ]
+            m *= p
+        coeffs = _reconstruct(tower, acc, m)
+        if coeffs is not None:
+            yield coeffs + [tower.one]

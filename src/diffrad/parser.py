@@ -7,6 +7,12 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     factor  := atom (('^' | '**') nat)?
     atom    := nat | 'i' | 'sqrt' '(' expr ')' | 'z' | '(' expr ')' | '-' factor
 
+A power multiplies its base out once per unit of the exponent, so both the
+exponent and the degree of the power are capped at MAX_POWER (200): the
+densest power the cap admits, (z + 1 + i + sqrt(2) + sqrt(3))^200, parses
+in under a second, and a larger one raises ParseError instead of
+running for minutes.
+
 Division requires a nonzero constant divisor, so `3/4` is the rational
 three-quarters and `i/2` is half of i.  `sqrt` takes anything evaluating to a
 rational constant; negative radicands normalize through i (sqrt(-2) is
@@ -31,6 +37,9 @@ from .errors import (
 )
 from .field import FieldElement, FieldTower
 from .poly import FactoredPoly, Polynomial
+
+# Largest exponent, and largest degree of a power, that the parser accepts.
+MAX_POWER = 200
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -132,7 +141,13 @@ class _Parser:
                 expected=frozenset({"number"}),
             )
         self.advance()
-        return base ** int(ntext)
+        digits = ntext.lstrip("0")
+        n = int(digits or "0") if len(digits) <= 6 else MAX_POWER + 1
+        if n > MAX_POWER or (n and base.degree * n > MAX_POWER):
+            raise ParseError(
+                f"powers are capped at exponent and degree {MAX_POWER}", npos
+            )
+        return base ** n
 
     def atom(self) -> Polynomial:
         kind, text, pos = self.peek()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
+from . import modular
 from .errors import (
     NonPositiveMultiplicityError,
     NotDivisibleError,
@@ -292,10 +293,55 @@ class Polynomial:
 
 
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
-    if p.is_zero() and q.is_zero():
-        raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    a, b = p, q
+    """Monic greatest common divisor; gcd(p, 0) = monic(p).
+
+    Modular, with the answer proved over the tower.  Write a, b for p, q and
+    let phi be one of the ring maps of `modular` from the ell-integral tower
+    elements onto F_ell, for a suitable prime ell.  Take a, b with
+    ell-integral coefficients and leading coefficients that phi keeps
+    nonzero.  Then deg gcd(a, b) = deg a + deg b - rank S(a, b) for the
+    Sylvester matrix S, and S(phi a, phi b) = phi S(a, b).  A nonzero minor
+    of phi S is the image of a nonzero minor of S, so the rank can only drop
+    under phi:
+
+        deg gcd(phi a, phi b) >= deg gcd(a, b).
+
+    A constant image gcd therefore proves a and b coprime.  Otherwise the
+    images under all sign branches of the roots give the coordinates of a
+    candidate mod ell, which Chinese remaindering and rational
+    reconstruction lift to the tower.  A monic candidate of the image degree
+    d that divides both a and b exactly is the gcd: it divides gcd(a, b),
+    whose degree is at most d.  That division is the proof; a candidate that
+    fails it, from an unlucky prime or a premature reconstruction, is
+    dropped and the next prime taken.  When modular.MAX_PRIMES suitable
+    primes prove nothing, monic Euclid over the tower decides.  Constant
+    and linear inputs need no prime.
+    """
+    if p.is_zero() or q.is_zero():
+        if p.is_zero() and q.is_zero():
+            raise ZeroPolynomialError("gcd(0, 0) is undefined")
+        return (q if p.is_zero() else p).monic()
+    # Both into the larger tower; incompatible towers raise ValueError.
+    if q.tower.extends(p.tower):
+        p = q._same_tower(p)
+    else:
+        q = p._same_tower(q)
+    tower = p.tower
+    if p.is_constant() or q.is_constant():
+        return Polynomial(tower, (1,))
+    if p.degree == q.degree == 1:
+        # Two lines share their root exactly when their monic forms agree.
+        g = p.monic()
+        return g if q.monic() == g else Polynomial(tower, (1,))
+    for coeffs in modular.gcd_candidates(p.coeffs, q.coeffs, tower):
+        g = Polynomial(tower, coeffs)
+        if g.degree == 0 or ((p % g).is_zero() and (q % g).is_zero()):
+            return g
+    return _euclid(p, q)
+
+
+def _euclid(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic Euclid over the tower, for nonzero a and b of one tower."""
     while not b.is_zero():
         r = a % b
         a, b = b, (r if r.is_zero() else r.monic())

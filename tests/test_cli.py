@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffrad import cli, default_tower, field
+from diffrad import cli, default_tower, errors, field
 from diffrad.cli import main
 from diffrad.examples import EXPECTED
 
@@ -326,3 +326,64 @@ def test_undecodable_divisor_file_is_a_parse_error(capsys, tmp_path):
     assert main(["divisor", "--file", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"diffrad: cannot read {path}") and "Traceback" not in err
+
+
+# Every typed error of errors.py that a command line can raise, with its exit
+# code.  The rest cannot come from the CLI: --adjoin takes an integer, which
+# is always real (NonRealRadicandError); a zero --kappa is refused while the
+# session is built (ZeroShiftError); the CLI divides exactly only by proved
+# divisors (NotDivisibleError).  EnclosureWidthError needs a patched
+# enclosure and has its own test above.
+TYPED_ERRORS = [
+    ("ZeroRadicandError", ["radical", "z", "--adjoin", "0"], 3, "cannot adjoin sqrt(0)"),
+    ("SquareRadicandError", ["radical", "z", "--adjoin", "8"], 3, "already a square"),
+    ("ParseError", ["radical", "2z"], 3, "trailing input 'z'"),
+    ("UnknownConstantError", ["radical", "sqrt(5)*z"], 3, "sqrt(5) is not representable"),
+    ("NegativeExponentError", ["radical", "z^-1"], 3, "exponents must be natural"),
+    ("ZeroPolynomialError", ["radical", "0"], 2, "zero polynomial"),
+    ("ZeroLeadingError", ["radical", "--factored", "0;(1,1)"], 2, "zero leading coefficient"),
+    (
+        "NonPositiveMultiplicityError",
+        ["radical", "--factored", "1;(1,0)"],
+        2,
+        "multiplicity must be a positive integer",
+    ),
+    (
+        "DependentInputsError",
+        ["divisor", "--ord-inequality", "1;(0,1)", "2;(0,1)"],
+        2,
+        "linearly dependent",
+    ),
+    ("ZeroSumError", ["divisor", "--ord-inequality", "1;(0,1)", "-1;(0,1)"], 2, "add up to zero"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, message", TYPED_ERRORS, ids=[case[0] for case in TYPED_ERRORS]
+)
+def test_typed_error_exit_code(monkeypatch, capsys, name, argv, code, message):
+    handled = []
+
+    def spy(*args, **kwargs):
+        # main prints the message inside its except clause, so the
+        # exception being handled is the one that reached the CLI.
+        handled.append(sys.exc_info()[0])
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", spy, raising=False)
+    assert main(argv) == code
+    assert handled == [getattr(errors, name)]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("diffrad: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["z^20000", "2^100000000", "(z^2)^101"])
+def test_power_cap_is_a_parse_error(capsys, expr):
+    assert main(["radical", expr]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diffrad: powers are capped at exponent and degree 200")
+    assert err.count("\n") == 1
+    code, out = run(capsys, ["radical", "(z^2)^100"])
+    assert code == 0 and "input: z^200" in out

@@ -98,6 +98,20 @@ def test_instance_validation(tower):
     assert FermatInstance((z, z, z), one, 1, Form.XYZ).statement() == Statement.FERMAT_XYZ
 
 
+def test_instance_coerces_the_shift(tower):
+    z = Polynomial.variable(tower)
+    for kappa in (1, Fraction(1, 2), tower.sqrt_gen(0)):
+        inst = FermatInstance((z, z, z), kappa, 1, Form.XYZ)
+        assert inst.kappa == kappa and inst.kappa.tower is tower
+        assert inst.factorials()[0] == z
+    assert FermatInstance((z, z, z), 1, 2, Form.XYZ) == FermatInstance(
+        (z, z, z), tower.one, 2, Form.XYZ
+    )
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroShiftError):
+            FermatInstance((z, z, z), zero, 1, Form.XYZ)
+
+
 def test_bound_values():
     assert fermat_bound(Form.XYZ, 2, 2) == (Fraction(5, 2), 2)
     assert fermat_bound(Form.SUM_FACTORIAL, 2, 2) == (Fraction(5, 2), 2)

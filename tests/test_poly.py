@@ -7,7 +7,7 @@ import pytest
 
 import diffrad
 import naive_poly
-from diffrad import FactoredPoly, FieldTower, Polynomial, gcd, multi_gcd, shift_gcd_factor
+from diffrad import FactoredPoly, FieldTower, Polynomial, gcd, modular, multi_gcd, shift_gcd_factor
 from diffrad.errors import (
     NonPositiveMultiplicityError,
     NotDivisibleError,
@@ -284,6 +284,160 @@ def test_shift_gcd_factor_matches_explicit_shifts(any_tower):
         entries = [(bases[j % 2] + kappa * rng.randint(-3, 3), 1) for j in range(n)]
         p = FactoredPoly(t.rational(rng.choice([1, -2, Fraction(1, 2)])), entries).expand()
         assert shift_gcd_factor(p, kappa, m) == naive_poly.shift_gcd(p, kappa, m)
+
+
+# -- the modular gcd against monic Euclid -------------------------------------
+
+
+def _product(t, lead, roots):
+    return FactoredPoly(t._coerce(lead), [(r, 1) for r in roots]).expand()
+
+
+def test_gcd_matches_euclid(any_tower):
+    """Odd degrees share no root on purpose, even ones about half of them."""
+    t = any_tower
+    rng = random.Random(47)
+    degrees = set()
+    for n in DEGREES:
+        kappa = _kappas(t)[n % 3]
+        pool = [random_element(rng, t, 3, 0.5) + kappa * j for j in range(-3, 4)]
+        shared = 0 if n % 2 else n // 2
+        common = [rng.choice(pool) for _ in range(shared)]
+        own = n - shared
+        a = _product(t, rng.choice([1, -2, Fraction(3, 2)]),
+                     common + [rng.choice(pool) + 7 for _ in range(own)])
+        b = _product(t, t.sqrt_gen(t.depth - 1) + 1,
+                     common + [rng.choice(pool) - 7 for _ in range(max(1, own // 2))])
+        g = gcd(a, b)
+        assert list(g.coeffs) == naive_poly.gcd(t, list(a.coeffs), list(b.coeffs))
+        assert gcd(b, a) == g
+        degrees.add(g.degree)
+    assert 0 in degrees and max(degrees) >= 10
+
+
+def _first_prime(t):
+    return next(modular.images(t)).p
+
+
+def test_gcd_skips_a_prime_in_a_denominator(any_tower):
+    t = any_tower
+    p = _first_prime(t)
+    z = Polynomial.variable(t)
+    root = t.rational(Fraction(1, p))
+    a = (z - root) * (z + t.sqrt_gen(0))
+    b = (z - root) * (z - 2)
+    assert modular._branch0(a.coeffs, next(modular.images(t))) is None
+    assert gcd(a, b) == z - root
+    assert gcd(a, z + 3) == 1
+    assert list(gcd(a, b).coeffs) == naive_poly.gcd(t, list(a.coeffs), list(b.coeffs))
+
+
+def test_gcd_skips_a_prime_that_kills_the_leading_coefficient(any_tower):
+    t = any_tower
+    p = _first_prime(t)
+    z = Polynomial.variable(t)
+    a = (z * p + 1) * (z - 3)
+    b = (z - 3) * (z + t.sqrt_gen(t.depth - 1))
+    assert gcd(a, b) == z - 3
+    assert gcd(a, z + 5) == 1
+
+
+def test_gcd_drops_an_unlucky_prime(any_tower):
+    """z and z - p share a root mod p only: the image degree 1 is a bound, and
+    the candidate z fails the trial division."""
+    t = any_tower
+    image = next(modular.images(t))
+    z = Polynomial.variable(t)
+    a, b = z * (z + 2), (z - image.p) * (z + 3)
+    fa, fb = modular._branch0(a.coeffs, image), modular._branch0(b.coeffs, image)
+    assert len(modular.gcd_mod(fa, fb, image.p)) == 2
+    assert gcd(a, b) == 1
+    assert gcd(z, z - image.p) == 1
+    # With a common factor the unlucky image z*(z + 1) is one degree too high.
+    assert gcd(z * z * (z + 1), (z - image.p) * (z + 1)) == z + 1
+
+
+def test_gcd_falls_back_to_euclid(any_tower, monkeypatch):
+    """z - P for P the product of every prime the gcd may try: each image is
+    unlucky, so Euclid decides."""
+    t = any_tower
+    primes = [image.p for image in modular.images(t)]
+    assert len(primes) == modular.MAX_PRIMES
+    big = 1
+    for p in primes:
+        big *= p
+    calls = []
+    original = diffrad.poly._euclid
+
+    def euclid(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(diffrad.poly, "_euclid", euclid)
+    z = Polynomial.variable(t)
+    assert gcd(z * (z + 1), (z - big) * (z + 1)) == z + 1
+    assert len(calls) == 1
+    assert gcd(z * (z + 1), (z - big + 1) * (z + 1)) == z + 1
+    assert len(calls) == 1
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for n < 3.3e24 (the first 13 prime bases)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_primes():
+    assert list(modular.PRIMES) == sorted(set(modular.PRIMES), reverse=True)
+    for p in modular.PRIMES:
+        assert p < 1 << 62 and p % (8 * 3 * 5 * 7 * 11 * 13) == 1
+        assert _is_prime(p)
+    assert not _is_prime(modular.PRIMES[0] + 2)
+
+
+def test_tower_images_are_ring_maps(any_tower):
+    """Each branch is a ring map; the transform inverts; radicands are squares."""
+    t = any_tower
+    rng = random.Random(48)
+    for image in list(modular.images(t))[:2]:
+        p = image.p
+        for j in range(t.depth):
+            sub = modular._transform(
+                [x % p for x in t._gens[j][0]], modular._butterflies(image.roots, 1 << j), p
+            )
+            den_inv = pow(t._gens[j][1], -1, p)
+            assert [r * r % p for r in image.roots[j]] == [v * den_inv % p for v in sub]
+        for _ in range(30):
+            x, y = (random_element(rng, t, 5, 0.8) + random_element(rng, t, 5, 0.8)
+                    for _ in range(2))
+            fx, fy, fxy = (modular._all_branches([e], image) for e in (x, y, x * y))
+            assert [u[0] * v[0] % p for u, v in zip(fx, fy)] == [w[0] for w in fxy]
+            assert [fx[0][0]] == modular._branch0([x], image)
+            values = [row[0] * x._den % p for row in fx]
+            assert modular._untransform(values, image.backward, p) == [c % p for c in x._num]
+
+
+def test_tower_images_are_memoised(any_tower):
+    t = any_tower
+    first = list(modular.images(t))
+    assert [a is b for a, b in zip(first, modular.images(t))] == [True] * len(first)
+    fresh = FieldTower(t._gens, t._signs)
+    assert [a.p for a in modular.images(fresh)] == [a.p for a in first]
 
 
 def test_shift_window_excess_matches_brute_force(any_tower):
