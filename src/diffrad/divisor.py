@@ -13,8 +13,13 @@ with certified interval arithmetic. The min runs over the q+1 points
 w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
 and _truncated_weights is the one place that translates q to m.
 
+All four counting functions run one kernel: _place puts each point once
+among the sorted radii by exact comparisons, and _sweep encloses each
+log|w|^2 once and reads n(r) and N(r) at every radius off prefix sums.
+
 check_truncation verifies, radius by radius, that truncated counting of an
-order-n factorial power is dominated by q plain counts of shifted copies.
+order-n factorial power is dominated by q plain counts of shifted copies,
+with one sweep per divisor over all its radii.
 check_ord_inequality verifies the per-point order inequality for
 G = g_1 ... g_{m+1} / C at every enumerable candidate point, and certifies
 the non-enumerable points (roots of the dense sum only) by exhibiting the
@@ -23,6 +28,7 @@ shift-gcd of the sum as a divisor of the Casoratian.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +54,7 @@ DEFAULT_PRECISION_BITS = 40
 class Divisor:
     """Finite map from points to positive multiplicities."""
 
-    __slots__ = ("tower", "_support", "_points", "_abs_sq")
+    __slots__ = ("tower", "_support", "_points")
 
     def __init__(self, tower: FieldTower, entries: Mapping | Iterable = ()):
         object.__setattr__(self, "tower", tower)
@@ -64,7 +70,6 @@ class Divisor:
         object.__setattr__(self, "_support", merged)
         # Sorted once: every count and integral walks the support in order.
         object.__setattr__(self, "_points", tuple(sorted(merged, key=lambda e: e.coords)))
-        object.__setattr__(self, "_abs_sq", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -82,12 +87,6 @@ class Divisor:
     def items(self):
         for point in self._points:
             yield point, self._support[point]
-
-    def _abs_squares(self) -> dict[FieldElement, FieldElement]:
-        """|w|^2 for every support point, computed on first use."""
-        if self._abs_sq is None:
-            object.__setattr__(self, "_abs_sq", {w: w.abs_squared() for w in self._points})
-        return self._abs_sq
 
     def total(self) -> int:
         return sum(self._support.values())
@@ -136,22 +135,6 @@ def factorial_divisor(D: Divisor, kappa, n: int) -> Divisor:
     return Divisor(D.tower, entries)
 
 
-def _as_fraction(r) -> Fraction:
-    if isinstance(r, Fraction):
-        return r
-    return Fraction(r)
-
-
-def n_count(D: Divisor, r) -> int:
-    """Multiplicity mass inside the closed disc of radius r about 0."""
-    r = _as_fraction(r)
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    r_sq = r * r
-    sq = D._abs_squares()
-    return sum(c for w, c in D.items() if compare_real(sq[w], r_sq) <= 0)
-
-
 def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, int]]:
     """ord_w - min over shifts w, w+kappa, ..., w+q*kappa, per support point."""
     kappa = require_shift(D.tower, kappa, "truncated counting")
@@ -164,18 +147,6 @@ def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, in
     return out
 
 
-def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
-    """Shift-truncated count inside the closed disc of radius r."""
-    r = _as_fraction(r)
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    r_sq = r * r
-    sq = D._abs_squares()
-    return sum(
-        d for w, d in _truncated_weights(D, kappa, q) if compare_real(sq[w], r_sq) <= 0
-    )
-
-
 @dataclass(frozen=True)
 class CountingValue:
     """Exact count the integrand jumps through, plus its certified integral."""
@@ -183,6 +154,35 @@ class CountingValue:
     n_value: int
     N_value: float
     error: float
+
+
+def _place(weights, radii):
+    """Place each weighted point once among the sorted distinct radii.
+
+    Returns (counts, entries): counts[k] is the weight in the closed disc of
+    radius radii[k], and entries lists (|w|^2, c, k) with radii[k] the first
+    radius whose open disc holds w (len(radii) when none does), so a point
+    on a circle enters one radius late.  Each point w != 0 costs one binary
+    search of exact comparisons of |w|^2 against the squared radii.
+    """
+    if radii[0] < 0:
+        raise ValueError("radius must be non-negative")
+    r_sq = [r * r for r in radii]
+    steps = [0] * (len(radii) + 1)
+    entries = []
+    for w, c in weights:
+        abs_sq = w.abs_squared()
+        lo, hi, tie = 0, len(r_sq) if w else 0, False
+        while lo < hi:
+            mid = (lo + hi) // 2
+            side = compare_real(abs_sq, r_sq[mid])
+            if side <= 0:
+                hi, tie = mid, tie or side == 0
+            else:
+                lo = mid + 1
+        steps[lo] += c
+        entries.append((abs_sq, c, lo + tie))
+    return list(itertools.accumulate(steps[:-1])), entries
 
 
 # mpmath is imported where an integral is computed, not at package import,
@@ -206,66 +206,67 @@ def _iv_real_enclosure(x: FieldElement, bits: int):
     return iv.mpf([lo.a, hi.b])
 
 
-def _integrate_weights(
-    weights: Sequence[tuple[FieldElement, int]],
-    abs_squares: Mapping[FieldElement, FieldElement],
-    r: Fraction,
-    precision_bits: int,
-) -> tuple[float, float]:
-    """Closed-form sum of c_w log(r/|w|) over |w| <= r, with c_0 log r at 0."""
+def _sweep(weights, radii, precision_bits: int) -> list[CountingValue]:
+    """n(r) and the certified N(r) at each of the sorted distinct radii.
+
+    With the points placed once (_place), the closed form
+
+        N(r) = sum_{0<|w|<r} c_w (log r - log|w|^2 / 2) + c_0 log r
+
+    is a multiple of log r minus a prefix sum of per-point terms, so each
+    log|w|^2 is enclosed once for all radii.  A point on the circle |w| = r
+    contributes exactly nothing, as log(r/|w|) = 0.
+    """
     from mpmath import iv
 
-    if r <= 0:
+    if radii[0] <= 0:
         raise ValueError("integrated counting needs a positive radius")
-    r_sq = r * r
+    counts, entries = _place(weights, radii)
     bits = max(precision_bits + 24, 64)
     saved_prec = iv.prec
     iv.prec = bits + 16
     try:
-        total = iv.mpf(0)
-        log_r = iv.log(_iv_fraction(r)) if weights else None
-        iv_r_sq = _iv_fraction(r_sq)
-        for w, c in weights:
-            if w.is_zero():
-                total += iv.mpf(c) * log_r
-                continue
-            abs_sq = abs_squares[w]
-            if compare_real(abs_sq, r_sq) >= 0:
-                continue
-            enc = _iv_real_enclosure(abs_sq, bits)
-            while enc.a <= 0:
-                bits *= 2
+        mass, logs = [0] * (len(radii) + 1), [iv.mpf(0)] * (len(radii) + 1)
+        for abs_sq, c, k in entries:
+            mass[k] += c
+            if abs_sq and k < len(radii):
                 enc = _iv_real_enclosure(abs_sq, bits)
-            ratio = iv_r_sq / enc
-            total += iv.mpf(c) * iv.log(ratio) / iv.mpf(2)
-        mid = float(total.mid)
-        err = float(total.delta) * 0.51 + 4e-16 * abs(mid)
+                while enc.a <= 0:  # ends: embed raises past its precision cap
+                    bits *= 2
+                    enc = _iv_real_enclosure(abs_sq, bits)
+                logs[k] += iv.mpf(c) * iv.log(enc) / 2
+        out = []
+        inside, log_sum = 0, iv.mpf(0)
+        for r, n_val, c, log_c in zip(radii, counts, mass, logs):
+            inside, log_sum = inside + c, log_sum + log_c
+            total = inside * iv.log(_iv_fraction(r)) - log_sum if inside else iv.mpf(0)
+            mid = float(total.mid)
+            out.append(CountingValue(n_val, mid, float(total.delta) * 0.51 + 4e-16 * abs(mid)))
     finally:
         iv.prec = saved_prec
-    return mid, err
+    return out
+
+
+def n_count(D: Divisor, r) -> int:
+    """Multiplicity mass inside the closed disc of radius r about 0."""
+    return _place(D.items(), [Fraction(r)])[0][0]
+
+
+def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
+    """Shift-truncated count inside the closed disc of radius r."""
+    return _place(_truncated_weights(D, kappa, q), [Fraction(r)])[0][0]
 
 
 def N_integrated(D: Divisor, r, precision_bits: int = DEFAULT_PRECISION_BITS) -> CountingValue:
     """n(r) together with the integrated count N(r) and its error bound."""
-    r = _as_fraction(r)
-    mid, err = _integrate_weights(list(D.items()), D._abs_squares(), r, precision_bits)
-    return CountingValue(n_count(D, r), mid, err)
+    return _sweep(D.items(), [Fraction(r)], precision_bits)[0]
 
 
 def N_tilde_q_integrated(
     D: Divisor, kappa, q: int, r, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> CountingValue:
     """Truncated count and its integral; the step function jumps at each |w|."""
-    r = _as_fraction(r)
-    weights = _truncated_weights(D, kappa, q)
-    sq = D._abs_squares()
-    mid, err = _integrate_weights(weights, sq, r, precision_bits)
-    n_val = 0
-    r_sq = r * r
-    for w, d in weights:
-        if compare_real(sq[w], r_sq) <= 0:
-            n_val += d
-    return CountingValue(n_val, mid, err)
+    return _sweep(_truncated_weights(D, kappa, q), [Fraction(r)], precision_bits)[0]
 
 
 def check_truncation(
@@ -292,7 +293,7 @@ def check_truncation(
     kappa = require_shift(D.tower, kappa, "truncation check")
     require_order(q, 1, "truncation order")
     require_order(n, 1, "factorial order")
-    radii = [_as_fraction(r) for r in radii]
+    radii = [Fraction(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")
     if any(r <= 0 for r in radii):
@@ -301,21 +302,20 @@ def check_truncation(
 
     fact = factorial_divisor(D, kappa, n)
     shifted = [shift_divisor(D, kappa * i) for i in range(q)]
+    # One sweep over all radii per divisor.
+    lhs_rows = _sweep(_truncated_weights(fact, kappa, q), radii, precision_bits)
+    rhs_sweeps = [_sweep(S.items(), radii, precision_bits) for S in shifted]
 
     per_radius = []
     all_ok = True
-    last_lhs = last_rhs = 0
-    for r in radii:
-        lhs_n = n_tilde_q(fact, kappa, q, r)
-        rhs_n = sum(n_count(S, r) for S in shifted)
-        lhs_cv = N_tilde_q_integrated(fact, kappa, q, r, precision_bits)
-        rhs_cvs = [N_integrated(S, r, precision_bits) for S in shifted]
+    for r, lhs_cv, *rhs_cvs in zip(radii, lhs_rows, *rhs_sweeps):
+        lhs_n = lhs_cv.n_value
+        rhs_n = sum(cv.n_value for cv in rhs_cvs)
         rhs_N = sum(cv.N_value for cv in rhs_cvs)
         slack = lhs_cv.error + sum(cv.error for cv in rhs_cvs)
         n_ok = lhs_n <= rhs_n
         N_ok = lhs_cv.N_value <= rhs_N + slack if r >= 1 else None
         all_ok = all_ok and n_ok and (N_ok is not False)
-        last_lhs, last_rhs = lhs_n, rhs_n
         per_radius.append(
             {
                 "r": str(r),
@@ -335,8 +335,8 @@ def check_truncation(
     return CheckReport(
         Statement.TRUNCATION,
         hypotheses,
-        lhs=last_lhs,
-        rhs=last_rhs,
+        lhs=per_radius[-1]["n_lhs"],
+        rhs=per_radius[-1]["n_rhs"],
         holds=all_ok,
         artifacts={
             "q": q,
@@ -444,7 +444,7 @@ def check_ord_inequality(
             cover = _cover_radius(ordered)
             checked = sorted(set(base + [cover]))
         else:
-            checked = sorted({_as_fraction(r) for r in radii})
+            checked = sorted({Fraction(r) for r in radii})
             if any(r < 0 for r in checked):
                 raise ValueError("radii must be non-negative")
 

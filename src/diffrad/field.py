@@ -10,11 +10,12 @@ Algebraic Number Theory, 4.2), and products run over the nonzero
 coordinates only, so an element lifted from a subtower costs what it costs
 there.  `FieldElement.coords` gives the coordinates back as Fractions.
 
-Complex embeddings are produced as rational rectangles guaranteed to contain
-the true value; they are used to pick branches and to decide signs of real
-elements, never to decide equality.  Each radicand must be real (fixed by
-conjugation of the tower built so far); positive radicands embed to the
-positive real root, negative ones to the root with positive imaginary part.
+Each radicand must be real (fixed by conjugation of the tower built so far);
+positive radicands embed to the positive real root, negative ones to the
+root with positive imaginary part.  Signs of real elements, and so branch
+choices, are exact: a norm recursion over the roots (`_sign`).  Embeddings
+are rational rectangles containing the true value; they enclose values
+(integrals, `complex()`), never decide a sign or an equality.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ Scalar = Union[int, Fraction, "FieldElement"]
 
 _F0 = Fraction(0)
 _MISSING = object()
+
+# Enclosures double their working precision up to this cap and then raise
+# EnclosureWidthError: a dozen doublings from 53 bits.
+MAX_ENCLOSURE_BITS = 1 << 16
 
 
 def _sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -176,6 +181,39 @@ def _norm(lo, hi, den, d, tw):
     table, tden = tw._table, tw._tden
     hi2 = _mul(hi, den, hi, den, table, tden)
     return _sub(*_mul(lo, den, lo, den, table, tden), *_mul(*hi2, *d, table, tden))
+
+
+def _times_imag_root(a, tw):
+    """Numerators of a * sqrt(d_j), for the last imaginary root d_j of a's subtower."""
+    h = len(a)
+    j = max(j for j in range(h.bit_length() - 1) if tw._signs[j] < 0)
+    g = tuple([int(t == 1 << j) for t in range(h)])
+    return _mul(a, 1, g, 1, tw._table, tw._tden)[0]
+
+
+def _sign(a, tw):
+    """-1, 0 or +1: the sign of the real element with numerators a.
+
+    Split x = lo + b over the last root, b = hi*sqrt(d) real and nonzero.
+    x has the sign of b when lo is 0 or shares it, and otherwise the sign of
+    lo times that of the norm lo^2 - b^2 = lo^2 - hi^2 d.  For a real root
+    b has the sign of hi; for an imaginary one hi is purely imaginary and b
+    has the sign of the real hi*g, g an imaginary root below.  Depth k costs
+    at most 3**k rational signs and no precision.
+    """
+    n = len(a)
+    if n == 1:
+        return (a[0] > 0) - (a[0] < 0)
+    h = n >> 1
+    lo, hi = a[:h], a[h:]
+    if not any(hi):
+        return _sign(lo, tw)
+    k = h.bit_length() - 1
+    sb = _sign(hi if tw._signs[k] > 0 else _times_imag_root(hi, tw), tw)
+    sa = _sign(lo, tw)
+    if sa == 0 or sa == sb:
+        return sb
+    return sa * _sign(_norm(lo, hi, 1, tw._gens[k], tw)[0], tw)
 
 
 def _inv(a, da, tw):
@@ -383,7 +421,7 @@ class FieldTower:
                 "radicand is already a square in the tower",
                 root=_make(self, *root),
             )
-        sign = 1 if elt._sign_of_real() > 0 else -1
+        sign = _sign(elt._num, self)
         return FieldTower(self._gens + ((elt._num, elt._den),), self._signs + (sign,))
 
     def try_sqrt(self, x: Scalar) -> Optional["FieldElement"]:
@@ -411,9 +449,10 @@ class FieldTower:
         if root is None or root.is_zero():
             return root
         if q > 0:
-            return root if root._sign_of_real() > 0 else -root
-        # Roots of a negative rational are purely imaginary.
-        return root if root._sign_of_imag() > 0 else -root
+            return root if _sign(root._num, self) > 0 else -root
+        # Roots of a negative rational are purely imaginary: Im(root) > 0
+        # exactly when root times an imaginary root g = i|g| is negative.
+        return root if _sign(_times_imag_root(root._num, self), self) < 0 else -root
 
     def describe(self) -> str:
         if not self._gens:
@@ -435,7 +474,7 @@ class FieldTower:
         return self.rational(value)
 
     def _root_box(self, index: int, prec: int) -> ComplexInterval:
-        """Enclosure of the embedding of sqrt(d_index)."""
+        """Enclosure of sqrt(d_index), from a radicand box refined until clear of 0."""
         key = (index, prec)
         cached = self._box_cache.get(key)
         if cached is not None:
@@ -443,20 +482,18 @@ class FieldTower:
         num, den = self._gens[index]
         sign = self._signs[index]
         work = prec
-        while True:
+        while work <= MAX_ENCLOSURE_BITS:
+            # The radicand is real: its box has imaginary part exactly zero.
             box = _eval_box(num, den, self, work)
-            # Real radicand: the imaginary part is exactly zero by construction.
-            if sign > 0 and box.re_lo > 0:
-                lo, hi = _sqrt_bounds(box.re_lo, prec)
-                lo2, hi2 = _sqrt_bounds(box.re_hi, prec)
-                out = ComplexInterval(lo, hi2, _F0, _F0)
-                break
-            if sign < 0 and box.re_hi < 0:
-                lo, hi = _sqrt_bounds(-box.re_hi, prec)
-                lo2, hi2 = _sqrt_bounds(-box.re_lo, prec)
-                out = ComplexInterval(_F0, _F0, lo, hi2)
+            lo, hi = (box.re_lo, box.re_hi) if sign > 0 else (-box.re_hi, -box.re_lo)
+            if lo > 0:
+                lo, hi = _sqrt_bounds(lo, prec)[0], _sqrt_bounds(hi, prec)[1]
+                parts = (lo, hi, _F0, _F0) if sign > 0 else (_F0, _F0, lo, hi)
+                out = ComplexInterval(*parts)
                 break
             work *= 2
+        else:
+            raise EnclosureWidthError(f"radicand {index} not separated from 0 within the cap")
         self._box_cache[key] = out
         return out
 
@@ -630,53 +667,29 @@ class FieldElement:
 
         The width never exceeds 2**-precision_bits (exact rationals come back
         as zero-width points).  precision_bits must be at least 8.  Raises
-        EnclosureWidthError when 24 doublings of the working precision do not
-        reach that width.
+        EnclosureWidthError when the working precision, doubling from
+        precision_bits + 4, passes MAX_ENCLOSURE_BITS first.
         """
         if precision_bits < 8:
             raise ValueError("precision_bits must be at least 8")
         target = Fraction(1, 1 << precision_bits)
         prec = precision_bits + 4
-        for _ in range(24):
+        while prec <= MAX_ENCLOSURE_BITS:
             box = _eval_box(self._num, self._den, self.tower, prec)
             if box.width <= target:
                 return box
             prec *= 2
         raise EnclosureWidthError(
-            f"enclosure wider than 2**-{precision_bits} after 24 refinements"
+            f"enclosure wider than 2**-{precision_bits} at {MAX_ENCLOSURE_BITS} bits"
         )
 
     def __complex__(self) -> complex:
         return self.embed(53).mid
 
-    def _sign_of_real(self) -> int:
-        """Sign of a real element, decided exactly by refinement."""
-        if self.is_zero():
-            return 0
-        prec = 32
-        while True:
-            box = _eval_box(self._num, self._den, self.tower, prec)
-            if box.re_lo > 0:
-                return 1
-            if box.re_hi < 0:
-                return -1
-            prec *= 2
-
-    def _sign_of_imag(self) -> int:
-        """Sign of the imaginary part of a nonzero purely imaginary element."""
-        prec = 32
-        while True:
-            box = _eval_box(self._num, self._den, self.tower, prec)
-            if box.im_lo > 0:
-                return 1
-            if box.im_hi < 0:
-                return -1
-            prec *= 2
-
     def sign_real(self) -> int:
         if not self.is_real():
             raise ValueError("sign is defined only for real elements")
-        return self._sign_of_real()
+        return _sign(self._num, self.tower)
 
     def __repr__(self):
         from .parser import print_element

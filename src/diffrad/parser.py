@@ -50,6 +50,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _nat(text: str, pos: int) -> int:
+    """A digit token's value; past Python's int/str digit limit, a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(text)} digits)", pos) from None
+
+
 def _tokenize(src: str):
     tokens = []
     pos = 0
@@ -153,7 +161,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Polynomial(self.tower, (Fraction(int(text)),))
+            return Polynomial(self.tower, (Fraction(_nat(text, pos)),))
         if text == "-":
             self.advance()
             return -self.factor()
@@ -212,7 +220,7 @@ class _Parser:
             )
         self.advance()
         self.expect(")")
-        return root.constant_value(), sign * int(text)
+        return root.constant_value(), sign * _nat(text, pos)
 
     def factored(self) -> FactoredPoly:
         lead = self.expr()

@@ -1,11 +1,37 @@
-"""Schoolbook polynomial oracles for the differential tests.
+"""Schoolbook oracles for the differential tests.
 
-Each works on coefficient lists with plain FieldElement `+`, `-`, `*` and
-`inverse()`, one operation at a time, and never calls the fused kernels of
-`poly.py`, so a fault there cannot hide in its own reference.
+Each polynomial oracle works on coefficient lists with plain FieldElement
+`+`, `-`, `*` and `inverse()`, one operation at a time, and never calls the
+fused kernels of `poly.py`, so a fault there cannot hide in its own
+reference.  The sign oracles decide signs by refining interval boxes of
+the complex embedding instead of the exact norm recursion of `field.py`.
 """
 
-from diffrad import FactoredPoly, Polynomial
+from diffrad import FactoredPoly, Polynomial, field
+
+
+def _box_sign(x, part):
+    """Sign of the real or imaginary part of x, by boxes of doubling precision."""
+    if x.is_zero():
+        return 0
+    for k in range(16):
+        box = field._eval_box(x._num, x._den, x.tower, 32 << k)
+        lo, hi = (box.re_lo, box.re_hi) if part == "re" else (box.im_lo, box.im_hi)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    raise AssertionError(f"boxes did not separate {x} from 0")
+
+
+def sign_real(x) -> int:
+    """Sign of a nonzero real element, or 0 for zero."""
+    return _box_sign(x, "re")
+
+
+def sign_imag(x) -> int:
+    """Sign of the imaginary part of a purely imaginary element."""
+    return _box_sign(x, "im")
 
 
 def _trim(coeffs):

@@ -290,8 +290,8 @@ def test_enclosure_width_error_is_a_domain_error(monkeypatch, capsys):
     exact, pad = field._eval_box, Fraction(1, 2**30)
 
     def never_narrow(num, den, tw, prec):
-        # Still a true enclosure, so sign decisions stay right, but never
-        # narrower than 2**-29; the precision cap keeps 24 refinements cheap.
+        # Still a true enclosure, but never narrower than 2**-29; capping the
+        # precision handed on keeps the refinements up to the cap cheap.
         box = exact(num, den, tw, min(prec, 128))
         return field.ComplexInterval(
             box.re_lo - pad, box.re_hi + pad, box.im_lo - pad, box.im_hi + pad
@@ -358,8 +358,14 @@ TYPED_ERRORS = [
 ]
 
 
+# An integer literal past the interpreter's int/str digit limit.
+LONG_LITERAL = ("ParseError", ["radical", "1" + "0" * 5000 + "*z"], 3, "integer literal too long")
+
+
 @pytest.mark.parametrize(
-    "name, argv, code, message", TYPED_ERRORS, ids=[case[0] for case in TYPED_ERRORS]
+    "name, argv, code, message",
+    TYPED_ERRORS + [LONG_LITERAL],
+    ids=[case[0] for case in TYPED_ERRORS] + ["ParseError-long-literal"],
 )
 def test_typed_error_exit_code(monkeypatch, capsys, name, argv, code, message):
     handled = []

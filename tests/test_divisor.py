@@ -19,6 +19,7 @@ from diffrad import (
     ZeroSumError,
     check_ord_inequality,
     check_truncation,
+    compare_real,
     diff_radical_from_roots,
     divisor_of,
     factorial_divisor,
@@ -216,6 +217,60 @@ def test_check_truncation_below_radius_one_has_no_verdict(tower):
     assert rows[0]["N_lhs"] > rows[0]["N_rhs"] + rows[0]["N_error"]
     assert rows[1]["N_holds"] is True
     assert report.holds is True
+
+
+def _oracle_rows(D, kappa, q, n, radii):
+    """check_truncation's rows from one compare_real per (point, radius) and math.log."""
+    def count(weights, r):
+        return sum(c for w, c in weights if compare_real(w.abs_squared(), r * r) <= 0)
+
+    def integral(weights, r):
+        total = 0.0
+        for w, c in weights:
+            if w.is_zero():
+                total += c * math.log(r)
+            elif compare_real(w.abs_squared(), r * r) < 0:
+                total += c * (math.log(r) - 0.5 * math.log(complex(w.abs_squared()).real))
+        return total
+
+    fact = factorial_divisor(D, kappa, n)
+    lhs = [(w, c - min(fact.multiplicity(w + kappa * j) for j in range(q + 1)))
+           for w, c in fact.items()]
+    shifted = [list(shift_divisor(D, kappa * i).items()) for i in range(q)]
+    return [
+        (str(r), count(lhs, r), sum(count(S, r) for S in shifted),
+         integral(lhs, r), sum(integral(S, r) for S in shifted))
+        for r in sorted(set(radii))
+    ]
+
+
+def test_check_truncation_rows_match_pointwise_oracle(tower):
+    i, s2 = tower.sqrt_gen(0), tower.sqrt_gen(1)
+    # the origin, |3 + 4i| = 5 and |2| = 2 on circles of the radius list,
+    # an irrational |1 + sqrt(2)| and a point inside the unit disc
+    D = Divisor(tower, {0: 2, 3 + 4 * i: 1, 2: 3, 1 + s2: 1, Fraction(-1, 2) + i / 2: 2})
+    radii = [5, Fraction(1, 2), 2, 2, Fraction(3, 4), 1, 10, 5, 3]
+    for kappa in (1, i, Fraction(-3, 2)):
+        for q, n in ((1, 1), (2, 2), (3, 1)):
+            rows = check_truncation(D, kappa, q, n, radii).artifacts["per_radius"]
+            oracle = _oracle_rows(D, kappa, q, n, radii)
+            assert [row["r"] for row in rows] == ["1/2", "3/4", "1", "2", "3", "5", "10"]
+            for row, (r, n_lhs, n_rhs, N_lhs, N_rhs) in zip(rows, oracle, strict=True):
+                assert (row["r"], row["n_lhs"], row["n_rhs"]) == (r, n_lhs, n_rhs)
+                gap = abs(row["N_lhs"] - N_lhs) + abs(row["N_rhs"] - N_rhs)
+                assert gap <= row["N_error"] + 1e-12
+                assert row["N_error"] <= INTEGRATION_TOL
+                assert row["n_holds"] == (n_lhs <= n_rhs)
+                assert row["N_holds"] is (None if Fraction(r) < 1 else True)
+    # a point on the circle adds exactly nothing, not a value within its error
+    on_circle = N_integrated(Divisor(tower, {3 + 4 * i: 2}), 5)
+    assert (on_circle.n_value, on_circle.N_value, on_circle.error) == (2, 0.0, 0.0)
+    # one-radius calls are the same sweep
+    for r in (2, 5, Fraction(1, 2)):
+        (_, n_val, _, N_val, _), = _oracle_rows(D, 1, 1, 1, [r])
+        cv = N_tilde_q_integrated(D, 1, 1, r)
+        assert cv.n_value == n_val == n_tilde_q(D, 1, 1, r)
+        assert abs(cv.N_value - N_val) <= cv.error + 1e-12
 
 
 def test_check_truncation_validation(tower):

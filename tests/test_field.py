@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive_poly
 from diffrad import FieldTower, compare_real, default_tower, field
 from diffrad.errors import (
     EnclosureWidthError,
@@ -97,9 +99,89 @@ def test_embed_raises_when_refinement_cannot_reach_the_width(tower, monkeypatch)
         tower.rational(Fraction(1, 3)).embed(53)
 
 
+def test_enclosure_precision_is_capped(tower, monkeypatch):
+    rng = random.Random(10)
+    for _ in range(10):
+        a = random_element(rng, tower, 4, 0.8)
+        box, first = a.embed(53), field._eval_box(a._num, a._den, tower, 57)
+        assert (box.re_lo, box.re_hi, box.im_lo, box.im_hi) == (
+            first.re_lo, first.re_hi, first.im_lo, first.im_hi
+        )
+    with pytest.raises(EnclosureWidthError):
+        tower.sqrt_gen(1).embed(field.MAX_ENCLOSURE_BITS)
+    # A radicand box that never excludes 0: the root box stops at the cap.
+    fresh = FieldTower.rationals().adjoin_sqrt(2)
+    precs = []
+
+    def straddle(num, den, tw, prec):
+        precs.append(prec)
+        return field.ComplexInterval(Fraction(-1), Fraction(1), Fraction(0), Fraction(0))
+
+    monkeypatch.setattr(field, "_eval_box", straddle)
+    with pytest.raises(EnclosureWidthError):
+        fresh._root_box(0, 57)
+    assert precs == [57 << k for k in range(11)]
+    assert precs[-1] <= field.MAX_ENCLOSURE_BITS < 2 * precs[-1]
+
+
+def _sign_towers():
+    q = FieldTower.rationals()
+    s2 = q.adjoin_sqrt(2)
+    i2 = q.adjoin_sqrt(-1).adjoin_sqrt(2)
+    return {
+        "Q(i, sqrt(2), sqrt(3))": default_tower(),
+        "Q(sqrt(2), sqrt(1 + sqrt(2)))": s2.adjoin_sqrt(1 + s2.sqrt_gen(0)),
+        "Q(i, sqrt(-3))": q.adjoin_sqrt(-1).adjoin_sqrt(-3),
+        # 1 - 2*sqrt(2) < 0: an imaginary root over a non-rational radicand
+        "Q(i, sqrt(2), sqrt(1 - 2*sqrt(2)))": i2.adjoin_sqrt(1 - 2 * i2.sqrt_gen(1)),
+    }
+
+
+SIGN_TOWERS = _sign_towers()
+_small = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+
+
+@st.composite
+def _real_elements(draw, tower):
+    """Real elements: x + conj(x), |x|^2 - t, or x + conj(x) minus a close rational."""
+    x = tower.element(draw(st.lists(_small, min_size=tower.dim, max_size=tower.dim)))
+    shape = draw(st.sampled_from(["sum", "norm", "near"]))
+    if shape == "norm":
+        return x.abs_squared() - draw(_small)
+    r = x + x.conj()
+    if shape == "near":
+        approx = Fraction(complex(r).real).limit_denominator(draw(st.integers(1, 10**6)))
+        r = r - approx
+    return r
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_TOWERS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_signs_match_interval_refinement(name, data):
+    tower = SIGN_TOWERS[name]
+    x = data.draw(_real_elements(tower))
+    assert x.sign_real() == naive_poly.sign_real(x)
+    y = data.draw(_real_elements(tower))
+    assert compare_real(x, y) == naive_poly.sign_real(x - y)
+    if any(tower.gen_sign(k) < 0 for k in range(tower.depth)):
+        # z is purely imaginary, and Im(z) > 0 exactly when z*g < 0 for an
+        # imaginary root g = i|g|
+        z = x * tower.sqrt_gen(max(k for k in range(tower.depth) if tower.gen_sign(k) < 0))
+        z_times_g = field._times_imag_root(z._num, tower)
+        assert field._sign(z_times_g, tower) == -naive_poly.sign_imag(z)
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_TOWERS))
+def test_recorded_root_signs_match_interval_refinement(name):
+    tower = SIGN_TOWERS[name]
+    for k in range(tower.depth):
+        assert tower.gen_sign(k) == naive_poly.sign_real(tower.gen_radicand(k))
+
+
 def test_sign_decisions_are_exact(tower):
     s2, s3 = tower.sqrt_gen(1), tower.sqrt_gen(2)
-    # s2 + s3 - 3.1462643... is tiny but nonzero; refinement must resolve it.
+    # s2 + s3 - 3.1462643... is tiny but nonzero; the exact sign resolves it.
     delta = s2 + s3 - tower.rational(Fraction(31462643699419723, 10**16))
     assert delta.sign_real() != 0
     assert compare_real(s2 + s3, 3) == 1
@@ -142,7 +224,7 @@ def test_sqrt_of_rational_branches(tower):
     assert s2 is not None and s2.sign_real() == 1
     r = tower.sqrt_of_rational(-2)
     assert r is not None and (r * r) == -2
-    assert r._sign_of_imag() == 1
+    assert naive_poly.sign_imag(r) == 1
     assert tower.sqrt_of_rational(5) is None
     assert tower.try_sqrt(tower.rational(Fraction(9, 4))) is not None
 
@@ -250,7 +332,7 @@ def _check_branch(q, root):
     if q > 0:
         assert root.sign_real() == 1
     elif q < 0:
-        assert not root.is_real() and root._sign_of_imag() == 1
+        assert not root.is_real() and naive_poly.sign_imag(root) == 1
 
 
 def test_sqrt_of_rational_memo_matches_fresh_computation(tower):

@@ -106,6 +106,18 @@ def test_parse_error_reports_position(tower):
     assert "position 4" in str(err.value)
 
 
+def test_long_integer_literal_is_a_parse_error(tower):
+    long = "1" + "0" * 5000
+    for parse, src, pos in (
+        (parse_poly, f"z + {long}*z", 4),
+        (parse_root_mult, f"(1, {long})", 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(src, tower)
+        assert err.value.position == pos and "5001 digits" in str(err.value)
+    assert parse_poly("1" + "0" * 4000, tower) == Polynomial.constant(tower.rational(10**4000))
+
+
 def test_parse_constant_rejects_nonconstant(tower):
     with pytest.raises(ParseError):
         parse_constant("z + 1", tower)
