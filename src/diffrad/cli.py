@@ -18,13 +18,10 @@ from fractions import Fraction
 
 from .divisor import (
     Divisor,
-    N_integrated,
-    N_tilde_q_integrated,
     check_ord_inequality,
     check_truncation,
+    counting_table,
     divisor_of,
-    n_count,
-    n_tilde_q,
 )
 from .errors import EnclosureWidthError, NotDivisibleError, ParseError
 from .examples import FIXTURES, run_all
@@ -267,9 +264,8 @@ def cmd_divisor(session: Session, args) -> int:
         return _emit_report(session, "divisor", report)
 
     rows = []
-    for r in sorted(set(radii)):
-        plain = N_integrated(D, r, args.precision_bits)
-        trunc = N_tilde_q_integrated(D, session.kappa, args.q, r, args.precision_bits)
+    table = counting_table(D, session.kappa, args.q, radii, args.precision_bits)
+    for r, plain, trunc in table:
         rows.append(
             {
                 "r": str(r),

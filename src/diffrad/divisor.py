@@ -13,17 +13,20 @@ with certified interval arithmetic. The min runs over the q+1 points
 w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
 and _truncated_weights is the one place that translates q to m.
 
-All four counting functions run one kernel: _place puts each point once
-among the sorted radii by exact comparisons, and _sweep encloses each
-log|w|^2 once and reads n(r) and N(r) at every radius off prefix sums.
+Every count runs one kernel: _place puts each point once among the sorted
+radii by exact comparisons, _closed_sums reads the weight of each closed
+disc off prefix sums, and _sweep encloses each log|w|^2 once and reads
+N(r) at every radius the same way.
 
 check_truncation verifies, radius by radius, that truncated counting of an
 order-n factorial power is dominated by q plain counts of shifted copies,
-with one sweep per divisor over all its radii.
+with one sweep per divisor over all its radii; counting_table (the CLI
+table) is the same two sweeps without the comparison.
 check_ord_inequality verifies the per-point order inequality for
 G = g_1 ... g_{m+1} / C at every enumerable candidate point, and certifies
 the non-enumerable points (roots of the dense sum only) by exhibiting the
-shift-gcd of the sum as a divisor of the Casoratian.
+shift-gcd of the sum as a divisor of the Casoratian; its per-radius
+aggregate places each candidate point once.
 """
 
 from __future__ import annotations
@@ -156,21 +159,20 @@ class CountingValue:
     error: float
 
 
-def _place(weights, radii):
-    """Place each weighted point once among the sorted distinct radii.
+def _place(points, radii):
+    """Place each point once among the sorted distinct radii.
 
-    Returns (counts, entries): counts[k] is the weight in the closed disc of
-    radius radii[k], and entries lists (|w|^2, c, k) with radii[k] the first
-    radius whose open disc holds w (len(radii) when none does), so a point
-    on a circle enters one radius late.  Each point w != 0 costs one binary
-    search of exact comparisons of |w|^2 against the squared radii.
+    Returns one (|w|^2, k, tie) per point: radii[k] is the first radius whose
+    closed disc holds w (len(radii) when none does), and tie says that w lies
+    on that circle, so its open discs start one radius later.  Each point
+    w != 0 costs one binary search of exact comparisons of |w|^2 against the
+    squared radii.
     """
-    if radii[0] < 0:
+    if radii and radii[0] < 0:
         raise ValueError("radius must be non-negative")
     r_sq = [r * r for r in radii]
-    steps = [0] * (len(radii) + 1)
-    entries = []
-    for w, c in weights:
+    out = []
+    for w in points:
         abs_sq = w.abs_squared()
         lo, hi, tie = 0, len(r_sq) if w else 0, False
         while lo < hi:
@@ -180,9 +182,23 @@ def _place(weights, radii):
                 hi, tie = mid, tie or side == 0
             else:
                 lo = mid + 1
-        steps[lo] += c
-        entries.append((abs_sq, c, lo + tie))
-    return list(itertools.accumulate(steps[:-1])), entries
+        out.append((abs_sq, lo, tie))
+    return out
+
+
+def _closed_sums(places, weights, n: int) -> list:
+    """Entry k: the weight in the closed disc of the k-th of n radii."""
+    steps = [0] * (n + 1)
+    for (_, k, _), c in zip(places, weights):
+        steps[k] += c
+    return list(itertools.accumulate(steps[:-1]))
+
+
+def _counts(weights, radii) -> list:
+    """The weight in the closed disc of each of the sorted distinct radii."""
+    weights = list(weights)
+    places = _place([w for w, _ in weights], radii)
+    return _closed_sums(places, [c for _, c in weights], len(radii))
 
 
 # mpmath is imported where an integral is computed, not at package import,
@@ -221,13 +237,17 @@ def _sweep(weights, radii, precision_bits: int) -> list[CountingValue]:
 
     if radii[0] <= 0:
         raise ValueError("integrated counting needs a positive radius")
-    counts, entries = _place(weights, radii)
+    weights = list(weights)
+    cs = [c for _, c in weights]
+    places = _place([w for w, _ in weights], radii)
+    counts = _closed_sums(places, cs, len(radii))
     bits = max(precision_bits + 24, 64)
     saved_prec = iv.prec
     iv.prec = bits + 16
     try:
         mass, logs = [0] * (len(radii) + 1), [iv.mpf(0)] * (len(radii) + 1)
-        for abs_sq, c, k in entries:
+        for (abs_sq, k, tie), c in zip(places, cs):
+            k += tie
             mass[k] += c
             if abs_sq and k < len(radii):
                 enc = _iv_real_enclosure(abs_sq, bits)
@@ -249,12 +269,12 @@ def _sweep(weights, radii, precision_bits: int) -> list[CountingValue]:
 
 def n_count(D: Divisor, r) -> int:
     """Multiplicity mass inside the closed disc of radius r about 0."""
-    return _place(D.items(), [Fraction(r)])[0][0]
+    return _counts(D.items(), [Fraction(r)])[0]
 
 
 def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
     """Shift-truncated count inside the closed disc of radius r."""
-    return _place(_truncated_weights(D, kappa, q), [Fraction(r)])[0][0]
+    return _counts(_truncated_weights(D, kappa, q), [Fraction(r)])[0]
 
 
 def N_integrated(D: Divisor, r, precision_bits: int = DEFAULT_PRECISION_BITS) -> CountingValue:
@@ -267,6 +287,21 @@ def N_tilde_q_integrated(
 ) -> CountingValue:
     """Truncated count and its integral; the step function jumps at each |w|."""
     return _sweep(_truncated_weights(D, kappa, q), [Fraction(r)], precision_bits)[0]
+
+
+def counting_table(
+    D: Divisor, kappa, q: int, radii: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> list[tuple[Fraction, CountingValue, CountingValue]]:
+    """(r, N_integrated, N_tilde_q_integrated) at each distinct radius, ascending.
+
+    One sweep per divisor, the plain one and the truncated one, over all radii.
+    """
+    radii = sorted({Fraction(r) for r in radii})
+    if not radii:
+        raise ValueError("need at least one radius")
+    plain = _sweep(D.items(), radii, precision_bits)
+    truncated = _sweep(_truncated_weights(D, kappa, q), radii, precision_bits)
+    return list(zip(radii, plain, truncated))
 
 
 def check_truncation(
@@ -448,17 +483,14 @@ def check_ord_inequality(
             if any(r < 0 for r in checked):
                 raise ValueError("radii must be non-negative")
 
+        # Each point placed once among the radii; the aggregates are prefix sums.
+        places = _place([w for w, _, _ in point_rows], checked)
+        lhs_sums = _closed_sums(places, [lhs_w for _, lhs_w, _ in point_rows], len(checked))
+        rhs_sums = _closed_sums(places, [rhs_w for _, _, rhs_w in point_rows], len(checked))
         per_radius = []
         agg_ok = True
         last_lhs = last_rhs = 0
-        abs_squares = [w.abs_squared() for w, _, _ in point_rows]
-        for r in checked:
-            r_sq = r * r
-            lhs_r = rhs_r = 0
-            for (w, lhs_w, rhs_w), abs_sq in zip(point_rows, abs_squares):
-                if compare_real(abs_sq, r_sq) <= 0:
-                    lhs_r += lhs_w
-                    rhs_r += rhs_w
+        for r, lhs_r, rhs_r in zip(checked, lhs_sums, rhs_sums):
             ok = lhs_r <= rhs_r
             agg_ok = agg_ok and ok
             last_lhs, last_rhs = lhs_r, rhs_r

@@ -1,4 +1,5 @@
-"""Images of a quadratic tower in F_p, the modular route of `poly.gcd`.
+"""Images of a quadratic tower in F_p: the modular route of `poly.gcd` and
+`poly.shift_gcd_factor`.
 
 A prime p suits a tower when p divides no radicand or structure denominator
 and every radicand maps to a nonzero square mod p on every sign branch of
@@ -8,6 +9,15 @@ the j-th root to s_j times a fixed square root of the image of its radicand.
 The 2**k maps act on a coordinate vector like a butterfly transform, one
 generator at a time (x = lo + hi*sqrt(d) goes to phi(lo) +- r*phi(hi)), and
 the transform inverts the same way, as `field._inv` splits an element.
+
+Two kinds of gcd run on the images.  `gcd_candidates` takes the gcd of two
+polynomials; `shift_candidates` runs the whole shift chain
+G <- gcd(G, G(z+kappa)) of the difference radical, Taylor shifts included,
+in F_p[z].  Both feed one lifting loop (`_lift`): branch 0 first, where a
+constant image settles the answer, then every branch, the inverse transform
+to coordinates mod p, Chinese remaindering over the primes and rational
+reconstruction.  Nothing here proves a candidate; the callers in `poly` do,
+by exact division over the tower.
 
 Everything here runs on raw integer coordinates and touches no FieldElement
 arithmetic.  The suitable primes of a tower are found lazily, in the fixed
@@ -35,7 +45,8 @@ PRIMES = (
     4611686018402102641, 4611686018400060601, 4611686018398859401, 4611686018398619161,
 )
 
-# Suitable primes one gcd tries before `poly.gcd` falls back to Euclid.
+# Suitable primes one gcd tries before its exact fallback: Euclid for
+# `poly.gcd`, the exact chain for `poly.shift_gcd_factor`.
 MAX_PRIMES = 8
 
 
@@ -213,6 +224,29 @@ def gcd_mod(a: list, b: list, p: int) -> list:
     return a
 
 
+def shift_mod(c: list, k: int, p: int) -> list:
+    """c(z + k) in F_p[z]: the Horner scheme of `Polynomial.taylor_shift`."""
+    c = list(c)
+    top = len(c) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] = (c[j] + k * c[j + 1]) % p
+    return c
+
+
+def _shift_chain(g: list, k: int, m: int, p: int) -> list:
+    """Monic gcd in F_p[z] of g(z), g(z+k), ..., g(z+(m-1)k), for monic g.
+
+    The chain of `poly.shift_gcd_factor`: G <- gcd(G, G(z+k)) m - 1 times,
+    stopping early at a constant.
+    """
+    for _ in range(1, m):
+        if len(g) == 1:
+            break
+        g = gcd_mod(g, shift_mod(g, k, p), p)
+    return g
+
+
 # -- rational reconstruction ----------------------------------------------------
 
 
@@ -249,16 +283,18 @@ def _reconstruct(tower: FieldTower, residues: list, m: int):
     return out
 
 
-def gcd_candidates(a: list, b: list, tower: FieldTower):
-    """Candidates for the monic gcd of two coefficient lists of degree >= 1.
+def _lift(tower: FieldTower, branch0, other_branches):
+    """The lifting loop shared by `gcd_candidates` and `shift_candidates`.
 
-    Yields the coefficient lists (ascending, monic) that the modular images
-    support, each to be proved or refuted by exact division; yields [one]
-    only when an image proves the inputs coprime.  Stops after MAX_PRIMES
-    suitable primes, leaving the rest to Euclid.
+    branch0(image) gives the monic gcd image (a residue list, ascending)
+    under branch 0, and other_branches(image) those under branches 1 to
+    2**k - 1; either returns None when the prime does not suit the input.
+    Yields the coefficient lists (ascending, monic) that the images support,
+    each to be proved or refuted by exact division; yields [one] only when an
+    image proves the answer constant.  Stops after MAX_PRIMES suitable primes,
+    leaving the rest to the exact fallback.
 
-    A prime is skipped when it divides a coefficient denominator or an
-    input's leading coefficient vanishes under a branch.  Images whose gcd
+    Branch 0 runs first, so a constant there costs one branch.  Images whose
     degree differs between branches, or exceeds the lowest degree seen, are
     unlucky and dropped; a lower degree restarts the Chinese remaindering.
     """
@@ -266,19 +302,18 @@ def gcd_candidates(a: list, b: list, tower: FieldTower):
     acc = m = None
     for image in images(tower):
         p = image.p
-        fa, fb = _branch0(a, image), _branch0(b, image)
-        if fa is None or fb is None or not fa[-1] or not fb[-1]:
+        g0 = branch0(image)
+        if g0 is None:
             continue
-        g0 = gcd_mod(fa, fb, p)
         if len(g0) == 1:
             yield [tower.one]
             return
         if best is not None and len(g0) > best:
             continue
-        rows_a, rows_b = _all_branches(a, image), _all_branches(b, image)
-        if not all(row[-1] for row in rows_a) or not all(row[-1] for row in rows_b):
+        rest = other_branches(image)
+        if rest is None:
             continue
-        branches = [g0] + [gcd_mod(x, y, p) for x, y in zip(rows_a[1:], rows_b[1:])]
+        branches = [g0] + rest
         sizes = {len(g) for g in branches}
         if min(sizes) == 1:
             yield [tower.one]
@@ -301,3 +336,46 @@ def gcd_candidates(a: list, b: list, tower: FieldTower):
         coeffs = _reconstruct(tower, acc, m)
         if coeffs is not None:
             yield coeffs + [tower.one]
+
+
+def gcd_candidates(a: list, b: list, tower: FieldTower):
+    """Candidates (see `_lift`) for the monic gcd of two coefficient lists of degree >= 1.
+
+    A prime is skipped when it divides a coefficient denominator or an
+    input's leading coefficient vanishes under a branch.
+    """
+
+    def branch0(image: Image):
+        fa, fb = _branch0(a, image), _branch0(b, image)
+        if fa is None or fb is None or not fa[-1] or not fb[-1]:
+            return None
+        return gcd_mod(fa, fb, image.p)
+
+    def other_branches(image: Image):
+        rows_a, rows_b = _all_branches(a, image)[1:], _all_branches(b, image)[1:]
+        if not all(row[-1] for row in rows_a) or not all(row[-1] for row in rows_b):
+            return None
+        return [gcd_mod(x, y, image.p) for x, y in zip(rows_a, rows_b)]
+
+    return _lift(tower, branch0, other_branches)
+
+
+def shift_candidates(f: list, kappa, m: int, tower: FieldTower):
+    """Candidates (see `_lift`) for the monic gcd of f(z), f(z+kappa), ..., f(z+(m-1)kappa).
+
+    f is a monic coefficient list of degree >= 1; a shift keeps it monic
+    under every branch.  A prime is skipped when it divides a denominator of
+    f or of kappa.
+    """
+
+    def branch0(image: Image):
+        f0, k0 = _branch0(f, image), _branch0([kappa], image)
+        if f0 is None or k0 is None:
+            return None
+        return _shift_chain(f0, k0[0], m, image.p)
+
+    def other_branches(image: Image):
+        rows, ks = _all_branches(f, image)[1:], _all_branches([kappa], image)[1:]
+        return [_shift_chain(row, k[0], m, image.p) for row, k in zip(rows, ks)]
+
+    return _lift(tower, branch0, other_branches)

@@ -13,7 +13,7 @@ from .errors import (
     ZeroPolynomialError,
     ZeroShiftError,
 )
-from .field import FieldElement, FieldTower, muladd
+from .field import FieldElement, FieldTower, _canon, _make, muladd
 
 NEG_INF = float("-inf")
 
@@ -366,22 +366,61 @@ def multi_gcd(ps: Sequence[Polynomial]) -> Polynomial:
 
 
 def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
-    """Monic gcd of p(z), p(z+kappa), ..., p(z+(m-1)kappa).
+    """Monic gcd G of p(z), p(z+kappa), ..., p(z+(m-1)kappa).
 
-    Chained through the shrinking cofactor: G_1 = gcd(p, p(z+kappa)) and
-    G_{k+1} = gcd(G_k, G_k(z+kappa)).  A shift is a ring automorphism that
-    keeps polynomials monic, so G_k(z+kappa) is the monic gcd of the shifts
-    1..k+1 and G_k is the gcd of the shifts 0..k.  Each step shifts only
-    G_k, always by kappa, and the chain stops once G_k is constant.
+    Modular, with the answer proved over the tower, as `gcd` is.  Let phi
+    be one of the ring maps of `modular` onto F_ell for a suitable prime ell
+    that divides no coefficient denominator of monic p or kappa.  Such an
+    ell divides no radicand norm and not the tower's structure denominator,
+    so the order on the tower's basis is integrally closed at ell.  G is
+    monic and divides p; its coefficients are symmetric functions of roots
+    of p, which are integral over that local order, so they are
+    ell-integral, and so are the monic cofactors p(z+i*kappa) / G.
+    Therefore phi(G) divides every phi(p(z+i*kappa)) = phi(p)(z+i*phi(kappa)),
+    and so their gcd in F_ell[z]:
+
+        deg G <= deg gcd_i phi(p)(z + i*phi(kappa)).
+
+    That gcd is the chain of `modular.shift_candidates`: H_1 = phi(p) and
+    H_{k+1} = gcd(H_k, H_k(z+phi(kappa))), since a shift is a ring
+    automorphism that keeps polynomials monic.  A constant image proves G = 1.
+    Otherwise a monic candidate h of the image degree d, lifted from the
+    images under every branch, is accepted only if h(z - i*kappa) divides p
+    exactly for every i < m: then h divides each p(z+i*kappa), hence G, and
+    deg G <= d = deg h makes h = G.  A candidate that fails is dropped and
+    the next prime taken.  After modular.MAX_PRIMES suitable primes without
+    a proof the exact chain G <- gcd(G, G(z+kappa)) over the tower decides,
+    as Euclid backs `gcd`.  A linear p has no two roots kappa apart, so its
+    answer is 1 with no prime taken; m = 1 or a zero shift gives monic p.
     """
     require_order(m, 1, "shift window")
-    kappa = p.tower._coerce(kappa)
+    tower = p.tower
+    kappa = tower._coerce(kappa)
     g = p.monic()
+    if m == 1 or g.degree == 0 or kappa.is_zero():
+        return g
+    if g.degree == 1:
+        return Polynomial(tower, (1,))
+    for coeffs in modular.shift_candidates(g.coeffs, kappa, m, tower):
+        h = Polynomial(tower, coeffs)
+        if h.degree == 0 or _divides_shifts(h, g, kappa, m):
+            return h
     for _ in range(1, m):
         if g.degree == 0:
             break
         g = gcd(g, g.taylor_shift(kappa))
     return g
+
+
+def _divides_shifts(h: Polynomial, p: Polynomial, kappa: FieldElement, m: int) -> bool:
+    """True when h(z - i*kappa) divides p exactly for every i < m."""
+    back = -kappa
+    for i in range(m):
+        if i:
+            h = h.taylor_shift(back)
+        if not (p % h).is_zero():
+            return False
+    return True
 
 
 def shift_window_excess(order: Callable[[FieldElement], int], w, kappa, m: int) -> int:
@@ -446,17 +485,51 @@ class FactoredPoly:
         return tuple(root for root, _ in self.factors)
 
     def expand(self) -> Polynomial:
-        """The dense product, multiplied out in place one (z - root) at a time."""
-        zero = self.tower.zero
-        c = [self.leading]
+        """The dense product, multiplied out one (z - root) at a time on integers.
+
+        Column t lists coordinate t of every coefficient, as integer
+        numerators over one running denominator den.  For root = R / d_R and
+        s = d_R * tden,
+
+            c * (z - root) = (s*z*c - R*c) / (s*den),
+
+        where R*c is the basis-table product (its denominator is tden), so
+        every step stays in integers and moves whole columns: each entry
+        (w, v) of e_u * e_t subtracts R_u * v times column t from column w.
+        Each coefficient is canonicalised once, at the end.
+        """
+        tower = self.tower
+        table, tden = tower._table, tower._tden
+        den = self.leading._den
+        # None marks a column that is zero in every coefficient.
+        cols = [[x] if x else None for x in self.leading._num]
         for root, mult in self.factors:
-            neg_root = -root
+            terms = [(table[u], r) for u, r in enumerate(root._num) if r]
+            scale = root._den * tden
             for _ in range(mult):
-                # c * (z - root): shift up one degree, then add -root * c.
-                c.insert(0, zero)
-                for k in range(len(c) - 1):
-                    c[k] = muladd(c[k], neg_root, c[k + 1])
-        return Polynomial(self.tower, c)
+                out = [
+                    None if col is None else [0] + (col if scale == 1 else [x * scale for x in col])
+                    for col in cols
+                ]
+                for row, r in terms:
+                    for t, col in enumerate(cols):
+                        if col is None:
+                            continue
+                        for w, cw in row[t]:
+                            f = r * cw
+                            old = out[w]
+                            if old is None:
+                                new = [-f * b for b in col]
+                                new.append(0)
+                            else:
+                                new = [a - f * b for a, b in zip(old, col)]
+                                new.append(old[-1])
+                            out[w] = new
+                cols = out
+                den *= scale
+        zero = [0] * (self.degree + 1)
+        cols = [zero if col is None else col for col in cols]
+        return Polynomial(tower, [_make(tower, *_canon(num, den)) for num in zip(*cols)])
 
     def __eq__(self, other):
         if not isinstance(other, FactoredPoly):

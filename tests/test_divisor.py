@@ -27,6 +27,7 @@ from diffrad import (
     n_tilde_q,
     shift_divisor,
 )
+from diffrad.divisor import counting_table
 from diffrad.generators import (
     random_divisor,
     random_factored,
@@ -271,6 +272,60 @@ def test_check_truncation_rows_match_pointwise_oracle(tower):
         cv = N_tilde_q_integrated(D, 1, 1, r)
         assert cv.n_value == n_val == n_tilde_q(D, 1, 1, r)
         assert abs(cv.N_value - N_val) <= cv.error + 1e-12
+
+
+def test_counting_table_matches_one_radius_calls(tower):
+    i, s2 = tower.sqrt_gen(0), tower.sqrt_gen(1)
+    D = Divisor(tower, {0: 2, 3 + 4 * i: 1, 2: 3, 1 + s2: 1, Fraction(-1, 2) + i / 2: 2})
+    radii = [5, Fraction(1, 2), 2, 2, Fraction(3, 4), 1, 10, 5, 3]
+    for kappa, q in ((1, 1), (i, 2), (Fraction(-3, 2), 3)):
+        table = counting_table(D, kappa, q, radii)
+        assert [r for r, _, _ in table] == sorted(set(Fraction(r) for r in radii))
+        for r, plain, trunc in table:
+            one_plain = N_integrated(D, r)
+            one_trunc = N_tilde_q_integrated(D, kappa, q, r)
+            assert (plain.n_value, trunc.n_value) == (one_plain.n_value, one_trunc.n_value)
+            assert abs(plain.N_value - one_plain.N_value) <= plain.error + one_plain.error
+            assert abs(trunc.N_value - one_trunc.N_value) <= trunc.error + one_trunc.error
+    with pytest.raises(ValueError):
+        counting_table(D, 1, 1, [])
+    with pytest.raises(ValueError):
+        counting_table(D, 1, 1, [0, 1])
+
+
+def _ord_oracle_rows(gs, kappa, radii):
+    """The per-radius aggregate of check_ord_inequality, one comparison per
+    (point, radius) and each window minimum taken over all m points."""
+    m = len(gs)
+    dense = [g.expand() for g in gs]
+    total = sum(dense[1:], dense[0])
+    C = naive_poly.casoratian(dense, kappa)
+    ords = [g.ord_at for g in gs] + [total.ord_at]
+    points = {w + kappa * j for g in gs for w in g.roots() for j in range(m)}
+    rows = []
+    for r in sorted(set(radii)):
+        lhs = rhs = 0
+        for w in points:
+            if compare_real(w.abs_squared(), r * r) <= 0:
+                lhs += max(sum(o(w) for o in ords) - C.ord_at(w), 0)
+                rhs += sum(o(w) - min(o(w + kappa * j) for j in range(m)) for o in ords)
+        rows.append({"r": str(r), "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs})
+    return rows
+
+
+def test_check_ord_inequality_rows_match_pointwise_oracle(tower):
+    i, s2 = tower.sqrt_gen(0), tower.sqrt_gen(1)
+    # roots on the circles |w| = 5 and |w| = 2, at the origin and irrational
+    g1 = FactoredPoly(tower.one, [(3 + 4 * i, 2), (0, 1), (1 + s2, 1)])
+    g2 = FactoredPoly(-tower.rational(2), [(2, 2), (-2 * i, 1)])
+    g3 = FactoredPoly(tower.one, [(Fraction(1, 2), 1)])
+    radii = [5, 0, 2, Fraction(1, 2), 2, 10, 3]
+    for gs in ([g1, g2], [g1, g2, g3]):
+        for kappa in (1, i, Fraction(-3, 2)):
+            report = check_ord_inequality(gs, kappa, radii)
+            assert report.artifacts["per_radius"] == _ord_oracle_rows(
+                gs, tower._coerce(kappa), [Fraction(r) for r in radii]
+            )
 
 
 def test_check_truncation_validation(tower):

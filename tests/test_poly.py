@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diffrad
 import naive_poly
@@ -199,9 +200,16 @@ def _nested_tower():
     return base.adjoin_sqrt(1 + base.sqrt_gen(1))
 
 
-@pytest.fixture(scope="module", params=["default", "nested"])
+def _tden_tower():
+    """Q(i, sqrt(2), sqrt(1/2 + sqrt(2)/3)): its basis table has a denominator."""
+    base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
+    return base.adjoin_sqrt(Fraction(1, 2) + base.sqrt_gen(1) / 3)
+
+
+@pytest.fixture(scope="module", params=["default", "nested", "tden"])
 def any_tower(request, tower):
-    return tower if request.param == "default" else _nested_tower()
+    towers = {"default": lambda: tower, "nested": _nested_tower, "tden": _tden_tower}
+    return towers[request.param]()
 
 
 def _kappas(t):
@@ -284,6 +292,132 @@ def test_shift_gcd_factor_matches_explicit_shifts(any_tower):
         entries = [(bases[j % 2] + kappa * rng.randint(-3, 3), 1) for j in range(n)]
         p = FactoredPoly(t.rational(rng.choice([1, -2, Fraction(1, 2)])), entries).expand()
         assert shift_gcd_factor(p, kappa, m) == naive_poly.shift_gcd(p, kappa, m)
+
+
+# -- the modular shift chain against explicit shifts ---------------------------
+
+
+def _shift_towers():
+    s2 = FieldTower.rationals().adjoin_sqrt(2)
+    return {
+        "default": diffrad.default_tower(),
+        "real-nested": s2.adjoin_sqrt(1 + s2.sqrt_gen(0)),
+        "i-sqrt-3": FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(-3),
+    }
+
+
+SHIFT_TOWERS = _shift_towers()
+_ratio = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _shift_instance(draw, t):
+    """(p, kappa, m): roots on kappa-lattices over two bases, with denominators."""
+
+    def element():
+        return t.element(draw(st.lists(_ratio, min_size=t.dim, max_size=t.dim)))
+
+    unit = draw(st.sampled_from([t.one] + [t.sqrt_gen(j) for j in range(t.depth)]))
+    kappa = unit * t.rational(draw(_ratio.filter(bool)))
+    bases = [element(), element()]
+    count = draw(st.integers(3, 7))
+    entries = [
+        (bases[draw(st.integers(0, 1))] + kappa * draw(st.integers(0, 2)),
+         draw(st.integers(1, 3)))
+        for _ in range(count)
+    ]
+    lead = element() or t.one
+    return FactoredPoly(lead, entries).expand(), kappa, draw(st.integers(2, 4))
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_TOWERS))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_shift_gcd_factor_matches_naive_chain(name, data):
+    t = SHIFT_TOWERS[name]
+    p, kappa, m = data.draw(_shift_instance(t))
+    assert shift_gcd_factor(p, kappa, m) == naive_poly.shift_gcd(p, kappa, m)
+
+
+def _lattice_poly(t):
+    kappa = _kappas(t)[1]
+    base = t.rational(Fraction(2, 3)) + t.sqrt_gen(t.depth - 1)
+    f = FactoredPoly(t.rational(Fraction(-5, 2)), [(base + kappa * j, 2) for j in range(3)])
+    return f.expand(), kappa
+
+
+def test_shift_gcd_factor_is_proved_on_the_first_image(any_tower, monkeypatch):
+    """The modular chain answers alone: no exact gcd, one suitable prime."""
+    t = any_tower
+    p, kappa = _lattice_poly(t)
+    expected = [naive_poly.shift_gcd(p, kappa, m) for m in (2, 3, 4)]
+    primes = []
+    original = modular.images
+
+    def images(tower):
+        for image in original(tower):
+            primes.append(image.p)
+            yield image
+
+    def no_gcd(a, b):
+        raise AssertionError("the exact chain ran")
+
+    monkeypatch.setattr(modular, "images", images)
+    monkeypatch.setattr(diffrad.poly, "gcd", no_gcd)
+    assert [shift_gcd_factor(p, kappa, m) for m in (2, 3, 4)] == expected
+    assert len(set(primes)) == 1
+
+
+def test_shift_gcd_factor_falls_back_to_the_exact_chain(any_tower, monkeypatch):
+    """With no image at all, the exact chain over the tower decides."""
+    t = any_tower
+    p, kappa = _lattice_poly(t)
+    expected = [naive_poly.shift_gcd(p, kappa, m) for m in (2, 3, 4)]
+    calls = []
+    original = diffrad.poly._euclid
+
+    def euclid(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(modular, "images", lambda tower: iter(()))
+    monkeypatch.setattr(diffrad.poly, "_euclid", euclid)
+    assert [shift_gcd_factor(p, kappa, m) for m in (2, 3, 4)] == expected
+    assert [g.degree for g in expected] == [4, 2, 0]
+    assert len(calls) == 1 + 2 + 3  # one Euclid per step of each chain
+
+
+def test_shift_gcd_factor_rejects_a_wrong_candidate(any_tower, monkeypatch):
+    """Every lifted candidate h comes back as h(z - kappa): for the true gcd
+    that still divides p, with the right degree, but not p(z + kappa).  The
+    exact divisions refute it, and the answer stays correct."""
+    t = any_tower
+    p, kappa = _lattice_poly(t)
+    expected = [naive_poly.shift_gcd(p, kappa, m) for m in (2, 3)]
+    lifted = []
+    original = modular._reconstruct
+
+    def wrong(tower, residues, m):
+        coeffs = original(tower, residues, m)
+        if coeffs is None:
+            return None
+        lifted.append(coeffs)
+        moved = Polynomial(tower, coeffs + [tower.one]).taylor_shift(-kappa)
+        return list(moved.coeffs[:-1])
+
+    monkeypatch.setattr(modular, "_reconstruct", wrong)
+    assert [shift_gcd_factor(p, kappa, m) for m in (2, 3)] == expected
+    assert (p % expected[0].taylor_shift(-kappa)).is_zero()
+    assert lifted
+
+
+def test_shift_gcd_factor_of_a_line_takes_no_prime(any_tower):
+    t = FieldTower(any_tower._gens, any_tower._signs)
+    z = Polynomial.variable(t)
+    line = z * 3 - t.sqrt_gen(0)
+    assert shift_gcd_factor(line, 1, 3) == 1
+    assert shift_gcd_factor(line, 0, 3) == line.monic()
+    assert t._fp_images is None
 
 
 # -- the modular gcd against monic Euclid -------------------------------------
