@@ -18,6 +18,8 @@ import time
 
 from diffrad import (
     Form,
+    N_integrated,
+    N_tilde_q_integrated,
     default_tower,
     check_fermat_theorem,
     check_mason_multi,
@@ -27,8 +29,12 @@ from diffrad import (
     diff_radical,
     diff_radical_from_roots,
     diff_radical_m,
+    factorial_divisor,
     gcd,
+    n_count,
     n_tilde,
+    n_tilde_q,
+    shift_divisor,
 )
 from diffrad.generators import (
     random_divisor,
@@ -114,11 +120,21 @@ def suite_divisor(rng, tower, trials, max_deg):
     for _ in range(trials):
         kappa = random_kappa(rng, tower)
         D = random_divisor(rng, tower, kappa)
-        report = check_truncation(
-            D, kappa, rng.randint(1, 3), rng.randint(1, 2), radii
-        )
+        q, n = rng.randint(1, 3), rng.randint(1, 3)
+        report = check_truncation(D, kappa, q, n, radii)
         assert report.holds
-        assert all(row["N_error"] <= 1e-9 for row in report.artifacts["per_radius"])
+        # every row against one-radius calls on the divisors themselves
+        fact = factorial_divisor(D, kappa, n)
+        shifted = [shift_divisor(D, kappa * i) for i in range(q)]
+        for r, row in zip(radii, report.artifacts["per_radius"]):
+            assert row["N_error"] <= 1e-9
+            assert row["n_lhs"] == n_tilde_q(fact, kappa, q, r)
+            assert row["n_rhs"] == sum(n_count(S, r) for S in shifted)
+            lhs = N_tilde_q_integrated(fact, kappa, q, r)
+            rhs = [N_integrated(S, r) for S in shifted]
+            rhs_N = sum(cv.N_value for cv in rhs)
+            gap = abs(row["N_lhs"] - lhs.N_value) + abs(row["N_rhs"] - rhs_N)
+            assert gap <= row["N_error"] + lhs.error + sum(cv.error for cv in rhs)
 
 
 def suite_ord(rng, tower, trials, max_deg):

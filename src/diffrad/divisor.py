@@ -13,20 +13,23 @@ with certified interval arithmetic. The min runs over the q+1 points
 w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
 and _truncated_weights is the one place that translates q to m.
 
-Every count runs one kernel: _place puts each point once among the sorted
-radii by exact comparisons, _closed_sums reads the weight of each closed
-disc off prefix sums, and _sweep encloses each log|w|^2 once and reads
-N(r) at every radius the same way.
+Every count runs one kernel, a point table (_Table) per call.  The table
+places each distinct point once among the sorted radii by exact
+comparisons and encloses each distinct log|w|^2 once.  A sweep is a
+weighted prefix sum over the table: one weight list gives per-radius
+masses and log sums, and so n(r) and N(r) at every radius.
 
 check_truncation verifies, radius by radius, that truncated counting of an
-order-n factorial power is dominated by q plain counts of shifted copies,
-with one sweep per divisor over all its radii; counting_table (the CLI
-table) is the same two sweeps without the comparison.
+order-n factorial power is dominated by q plain counts of shifted copies.
+Its 1+q sweeps read one table: the factorial divisor's support
+{w - i*kappa : i < n} and the shifted supports {w - i*kappa : i < q} share
+their points.  counting_table (the CLI table) is one plain and one
+truncated sweep over one table, without the comparison.
 check_ord_inequality verifies the per-point order inequality for
 G = g_1 ... g_{m+1} / C at every enumerable candidate point, and certifies
 the non-enumerable points (roots of the dense sum only) by exhibiting the
 shift-gcd of the sum as a divisor of the Casoratian; its per-radius
-aggregate places each candidate point once.
+aggregate reads a table of the candidate points.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DependentInputsError, NonPositiveMultiplicityError, ZeroSumError
 from .field import FieldElement, FieldTower, compare_real
-from .mason import casoratian, linearly_independent
+from .mason import casoratian
 from .poly import (
     FactoredPoly,
     Polynomial,
@@ -159,48 +162,6 @@ class CountingValue:
     error: float
 
 
-def _place(points, radii):
-    """Place each point once among the sorted distinct radii.
-
-    Returns one (|w|^2, k, tie) per point: radii[k] is the first radius whose
-    closed disc holds w (len(radii) when none does), and tie says that w lies
-    on that circle, so its open discs start one radius later.  Each point
-    w != 0 costs one binary search of exact comparisons of |w|^2 against the
-    squared radii.
-    """
-    if radii and radii[0] < 0:
-        raise ValueError("radius must be non-negative")
-    r_sq = [r * r for r in radii]
-    out = []
-    for w in points:
-        abs_sq = w.abs_squared()
-        lo, hi, tie = 0, len(r_sq) if w else 0, False
-        while lo < hi:
-            mid = (lo + hi) // 2
-            side = compare_real(abs_sq, r_sq[mid])
-            if side <= 0:
-                hi, tie = mid, tie or side == 0
-            else:
-                lo = mid + 1
-        out.append((abs_sq, lo, tie))
-    return out
-
-
-def _closed_sums(places, weights, n: int) -> list:
-    """Entry k: the weight in the closed disc of the k-th of n radii."""
-    steps = [0] * (n + 1)
-    for (_, k, _), c in zip(places, weights):
-        steps[k] += c
-    return list(itertools.accumulate(steps[:-1]))
-
-
-def _counts(weights, radii) -> list:
-    """The weight in the closed disc of each of the sorted distinct radii."""
-    weights = list(weights)
-    places = _place([w for w, _ in weights], radii)
-    return _closed_sums(places, [c for _, c in weights], len(radii))
-
-
 # mpmath is imported where an integral is computed, not at package import,
 # so CLI calls that never integrate do not pay for loading it.
 
@@ -222,71 +183,130 @@ def _iv_real_enclosure(x: FieldElement, bits: int):
     return iv.mpf([lo.a, hi.b])
 
 
-def _sweep(weights, radii, precision_bits: int) -> list[CountingValue]:
-    """n(r) and the certified N(r) at each of the sorted distinct radii.
+class _Table:
+    """The points of one call placed among its sorted distinct radii.
 
-    With the points placed once (_place), the closed form
-
-        N(r) = sum_{0<|w|<r} c_w (log r - log|w|^2 / 2) + c_0 log r
-
-    is a multiple of log r minus a prefix sum of per-point terms, so each
-    log|w|^2 is enclosed once for all radii.  A point on the circle |w| = r
-    contributes exactly nothing, as log(r/|w|) = 0.
+    place(w) gives (|w|^2, k, tie): radii[k] is the first radius whose
+    closed disc holds w (len(radii) when none does), and tie says that w lies
+    on that circle, so its open discs start one radius later.  Each distinct
+    point w != 0 costs one binary search of exact comparisons of |w|^2
+    against the squared radii, the first time any sweep asks for it, and
+    each distinct |w|^2 is enclosed at most once for the logarithms, as is
+    each log r.  Every count and sweep of the call reads the same table.
     """
-    from mpmath import iv
 
-    if radii[0] <= 0:
-        raise ValueError("integrated counting needs a positive radius")
-    weights = list(weights)
-    cs = [c for _, c in weights]
-    places = _place([w for w, _ in weights], radii)
-    counts = _closed_sums(places, cs, len(radii))
-    bits = max(precision_bits + 24, 64)
-    saved_prec = iv.prec
-    iv.prec = bits + 16
-    try:
-        mass, logs = [0] * (len(radii) + 1), [iv.mpf(0)] * (len(radii) + 1)
-        for (abs_sq, k, tie), c in zip(places, cs):
-            k += tie
-            mass[k] += c
-            if abs_sq and k < len(radii):
-                enc = _iv_real_enclosure(abs_sq, bits)
-                while enc.a <= 0:  # ends: embed raises past its precision cap
-                    bits *= 2
-                    enc = _iv_real_enclosure(abs_sq, bits)
-                logs[k] += iv.mpf(c) * iv.log(enc) / 2
-        out = []
-        inside, log_sum = 0, iv.mpf(0)
-        for r, n_val, c, log_c in zip(radii, counts, mass, logs):
-            inside, log_sum = inside + c, log_sum + log_c
-            total = inside * iv.log(_iv_fraction(r)) - log_sum if inside else iv.mpf(0)
-            mid = float(total.mid)
-            out.append(CountingValue(n_val, mid, float(total.delta) * 0.51 + 4e-16 * abs(mid)))
-    finally:
-        iv.prec = saved_prec
-    return out
+    __slots__ = ("radii", "_r_sq", "_bits", "_places", "_logs", "_log_radii")
+
+    def __init__(self, radii, precision_bits: int = DEFAULT_PRECISION_BITS):
+        if radii and radii[0] < 0:
+            raise ValueError("radius must be non-negative")
+        self.radii = radii
+        self._r_sq = [r * r for r in radii]
+        self._bits = max(precision_bits + 24, 64)
+        self._places: dict = {}
+        self._logs: dict = {}
+        self._log_radii = None
+
+    def place(self, w: FieldElement) -> tuple:
+        hit = self._places.get(w)
+        if hit is None:
+            abs_sq = w.abs_squared()
+            r_sq = self._r_sq
+            lo, hi, tie = 0, len(r_sq) if w else 0, False
+            while lo < hi:
+                mid = (lo + hi) // 2
+                side = compare_real(abs_sq, r_sq[mid])
+                if side <= 0:
+                    hi, tie = mid, tie or side == 0
+                else:
+                    lo = mid + 1
+            hit = self._places[w] = (abs_sq, lo, tie)
+        return hit
+
+    def counts(self, weights) -> list:
+        """Entry k: the weight in the closed disc of the k-th radius."""
+        steps = [0] * (len(self.radii) + 1)
+        for w, c in weights:
+            steps[self.place(w)[1]] += c
+        return list(itertools.accumulate(steps[:-1]))
+
+    def _half_log(self, abs_sq: FieldElement):
+        """Enclosure of log|w| = log|w|^2 / 2 at the working precision, once per value."""
+        from mpmath import iv
+
+        enc = self._logs.get(abs_sq)
+        if enc is None:
+            bits = self._bits
+            box = _iv_real_enclosure(abs_sq, bits)
+            while box.a <= 0:  # ends: embed raises past its precision cap
+                bits *= 2
+                box = _iv_real_enclosure(abs_sq, bits)
+            enc = self._logs[abs_sq] = iv.log(box) / 2
+        return enc
+
+    def sweep(self, weights) -> list[CountingValue]:
+        """n(r) and the certified N(r) at each radius, for one weight list.
+
+        The closed form
+
+            N(r) = sum_{0<|w|<r} c_w (log r - log|w|^2 / 2) + c_0 log r
+
+        is a multiple of log r minus a prefix sum of per-point terms, so the
+        sweep only adds up table entries: per-radius masses and log sums,
+        accumulated over the radii.  A point on the circle |w| = r
+        contributes exactly nothing, as log(r/|w|) = 0.
+        """
+        from mpmath import iv
+
+        radii = self.radii
+        if radii[0] <= 0:
+            raise ValueError("integrated counting needs a positive radius")
+        weights = list(weights)
+        counts = self.counts(weights)
+        saved_prec = iv.prec
+        iv.prec = self._bits + 16
+        try:
+            if self._log_radii is None:
+                self._log_radii = [iv.log(_iv_fraction(r)) for r in radii]
+            mass, logs = [0] * (len(radii) + 1), [iv.mpf(0)] * (len(radii) + 1)
+            for w, c in weights:
+                abs_sq, k, tie = self.place(w)
+                k += tie
+                mass[k] += c
+                if abs_sq and k < len(radii):
+                    logs[k] += c * self._half_log(abs_sq)
+            out = []
+            inside, log_sum = 0, iv.mpf(0)
+            for log_r, n_val, c, log_c in zip(self._log_radii, counts, mass, logs):
+                inside, log_sum = inside + c, log_sum + log_c
+                total = inside * log_r - log_sum if inside else iv.mpf(0)
+                mid = float(total.mid)
+                out.append(CountingValue(n_val, mid, float(total.delta) * 0.51 + 4e-16 * abs(mid)))
+        finally:
+            iv.prec = saved_prec
+        return out
 
 
 def n_count(D: Divisor, r) -> int:
     """Multiplicity mass inside the closed disc of radius r about 0."""
-    return _counts(D.items(), [Fraction(r)])[0]
+    return _Table([Fraction(r)]).counts(D.items())[0]
 
 
 def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
     """Shift-truncated count inside the closed disc of radius r."""
-    return _counts(_truncated_weights(D, kappa, q), [Fraction(r)])[0]
+    return _Table([Fraction(r)]).counts(_truncated_weights(D, kappa, q))[0]
 
 
 def N_integrated(D: Divisor, r, precision_bits: int = DEFAULT_PRECISION_BITS) -> CountingValue:
     """n(r) together with the integrated count N(r) and its error bound."""
-    return _sweep(D.items(), [Fraction(r)], precision_bits)[0]
+    return _Table([Fraction(r)], precision_bits).sweep(D.items())[0]
 
 
 def N_tilde_q_integrated(
     D: Divisor, kappa, q: int, r, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> CountingValue:
     """Truncated count and its integral; the step function jumps at each |w|."""
-    return _sweep(_truncated_weights(D, kappa, q), [Fraction(r)], precision_bits)[0]
+    return _Table([Fraction(r)], precision_bits).sweep(_truncated_weights(D, kappa, q))[0]
 
 
 def counting_table(
@@ -294,13 +314,14 @@ def counting_table(
 ) -> list[tuple[Fraction, CountingValue, CountingValue]]:
     """(r, N_integrated, N_tilde_q_integrated) at each distinct radius, ascending.
 
-    One sweep per divisor, the plain one and the truncated one, over all radii.
+    The plain and the truncated sweep read one table of D's points.
     """
     radii = sorted({Fraction(r) for r in radii})
     if not radii:
         raise ValueError("need at least one radius")
-    plain = _sweep(D.items(), radii, precision_bits)
-    truncated = _sweep(_truncated_weights(D, kappa, q), radii, precision_bits)
+    table = _Table(radii, precision_bits)
+    plain = table.sweep(D.items())
+    truncated = table.sweep(_truncated_weights(D, kappa, q))
     return list(zip(radii, plain, truncated))
 
 
@@ -336,10 +357,15 @@ def check_truncation(
     radii = sorted(set(radii))
 
     fact = factorial_divisor(D, kappa, n)
-    shifted = [shift_divisor(D, kappa * i) for i in range(q)]
-    # One sweep over all radii per divisor.
-    lhs_rows = _sweep(_truncated_weights(fact, kappa, q), radii, precision_bits)
-    rhs_sweeps = [_sweep(S.items(), radii, precision_bits) for S in shifted]
+    # One table for the 1+q sweeps: the factorial support {w - i*kappa : i < n}
+    # and the shifted supports {w - i*kappa : i < q} share their points.  The
+    # i-th shifted copy carries D's weights at w - i*kappa, in D's order.
+    table = _Table(radii, precision_bits)
+    lhs_rows = table.sweep(_truncated_weights(fact, kappa, q))
+    rhs_sweeps = []
+    for i in range(q):
+        step = kappa * i
+        rhs_sweeps.append(table.sweep([(w - step, c) for w, c in D.items()]))
 
     per_radius = []
     all_ok = True
@@ -429,7 +455,9 @@ def check_ord_inequality(
         total = total + p
     if total.is_zero():
         raise ZeroSumError("the summands add up to zero")
-    if not linearly_independent(dense):
+    # For polynomials the Casoratian vanishes exactly on dependent inputs.
+    C = casoratian(dense, kappa_el)
+    if C.is_zero():
         raise DependentInputsError("summands are linearly dependent over constants")
 
     def chain():
@@ -446,10 +474,6 @@ def check_ord_inequality(
             no_common,
             "gcd of summands is constant" if no_common else f"common factor {common}",
         )
-
-        C = casoratian(dense, kappa_el)
-        if C.is_zero():
-            raise DependentInputsError("Casoratian vanishes; summands are dependent")
 
         # certificate for zeros of G lying only on the dense sum
         M = shift_gcd_factor(total, kappa_el, m)
@@ -484,9 +508,9 @@ def check_ord_inequality(
                 raise ValueError("radii must be non-negative")
 
         # Each point placed once among the radii; the aggregates are prefix sums.
-        places = _place([w for w, _, _ in point_rows], checked)
-        lhs_sums = _closed_sums(places, [lhs_w for _, lhs_w, _ in point_rows], len(checked))
-        rhs_sums = _closed_sums(places, [rhs_w for _, _, rhs_w in point_rows], len(checked))
+        table = _Table(checked)
+        lhs_sums = table.counts((w, lhs_w) for w, lhs_w, _ in point_rows)
+        rhs_sums = table.counts((w, rhs_w) for w, _, rhs_w in point_rows)
         per_radius = []
         agg_ok = True
         last_lhs = last_rhs = 0

@@ -18,7 +18,24 @@ from .report import CheckReport, Hypothesis, Statement, chain_report
 
 
 def casoratian(ps: Sequence[Polynomial], kappa) -> Polynomial:
-    """det of the m x m matrix with entry (i, j) = p_j(z + i*kappa)."""
+    """det of the m x m matrix with entry (i, j) = p_j(z + i*kappa).
+
+    For polynomials and kappa != 0 it vanishes exactly when p_1, ..., p_m
+    are linearly dependent over the constants, so the checkers read
+    independence off it.  Dependent columns give det 0.  Conversely, row
+    operations turn the rows of shifts into the differences
+    Delta^i p_j = sum_k (-1)^(i-k) binom(i, k) p_j(z + k*kappa) with the
+    same determinant, and an invertible constant change of the columns,
+    which scales it by a nonzero constant, gives independent p_j distinct
+    degrees d_j with leading coefficients l_j.  Delta^i p_j has degree at
+    most d_j - i, with coefficient (d_j)_i kappa^i l_j at z^(d_j - i), where
+    (d)_i = d (d-1) ... (d-i+1) is the falling factorial (0 for i > d).
+    Every term of the Leibniz expansion then has degree at most
+    sum_j d_j - m(m-1)/2, and the coefficient there is
+    kappa^(m(m-1)/2) prod_j l_j det[(d_j)_i].  As (d)_i is monic of degree
+    i in d, row operations reduce det[(d_j)_i] to the Vandermonde
+    det[d_j^i] = prod_{j<k} (d_k - d_j), nonzero for distinct d_j.
+    """
     if not ps:
         raise ValueError("casoratian of an empty list")
     kappa = require_shift(ps[0].tower, kappa, "casoratian")
@@ -178,7 +195,8 @@ def check_mason_multi(
             "a_1 + ... + a_m = a_{m+1}" if sum_ok else "sum differs from the last entry",
         )
         yield _coprime_hypothesis(ps, coprimality)
-        indep = linearly_independent(ps[:-1])
+        cas = casoratian(ps[:-1], kappa)
+        indep = not cas.is_zero()
         yield Hypothesis(
             "independent",
             indep,
@@ -192,12 +210,11 @@ def check_mason_multi(
         lhs = max(int(p.degree) for p in ps)
         rhs = sum(tildes) - m * (m - 1) // 2
 
-        cas = casoratian(ps[:-1], kappa)
         # Each cofactor is already the monic gcd of the m shifts of its input.
         q = Polynomial(tower, (1,))
         for r in results:
             q = q * r.cofactor
-        divisible = not cas.is_zero() and (cas % q).is_zero()
+        divisible = (cas % q).is_zero()
         return dict(
             lhs=lhs,
             rhs=rhs,
@@ -206,7 +223,7 @@ def check_mason_multi(
                 "m": m,
                 "n_tilde": tildes,
                 "coprimality": coprimality,
-                "casoratian_degree": int(cas.degree) if not cas.is_zero() else None,
+                "casoratian_degree": int(cas.degree),
                 "shift_gcd_product_degree": int(q.degree),
                 "casoratian_divisible_by_gcd_product": divisible,
                 "sharp": lhs == rhs,

@@ -393,34 +393,50 @@ def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
     as Euclid backs `gcd`.  A linear p has no two roots kappa apart, so its
     answer is 1 with no prime taken; m = 1 or a zero shift gives monic p.
     """
+    return _shift_gcd_split(p, kappa, m)[0]
+
+
+def _shift_gcd_split(p: Polynomial, kappa: CoeffLike, m: int) -> tuple[Polynomial, Polynomial]:
+    """(G, monic p / G) for G = shift_gcd_factor(p, kappa, m).
+
+    The quotient is the one the proof's i = 0 division leaves, so the
+    difference radical needs no second division; G = 1 gives monic p.
+    """
     require_order(m, 1, "shift window")
     tower = p.tower
     kappa = tower._coerce(kappa)
     g = p.monic()
+    one = Polynomial(tower, (1,))
     if m == 1 or g.degree == 0 or kappa.is_zero():
-        return g
+        return g, one
     if g.degree == 1:
-        return Polynomial(tower, (1,))
+        return one, g
     for coeffs in modular.shift_candidates(g.coeffs, kappa, m, tower):
         h = Polynomial(tower, coeffs)
-        if h.degree == 0 or _divides_shifts(h, g, kappa, m):
-            return h
+        if h.degree == 0:
+            return h, g
+        quot = _divides_shifts(h, g, kappa, m)
+        if quot is not None:
+            return h, quot
+    h = g
     for _ in range(1, m):
-        if g.degree == 0:
+        if h.degree == 0:
             break
-        g = gcd(g, g.taylor_shift(kappa))
-    return g
+        h = gcd(h, h.taylor_shift(kappa))
+    return h, (g if h.degree == 0 else g.divide_exact(h))
 
 
-def _divides_shifts(h: Polynomial, p: Polynomial, kappa: FieldElement, m: int) -> bool:
-    """True when h(z - i*kappa) divides p exactly for every i < m."""
+def _divides_shifts(h: Polynomial, p: Polynomial, kappa: FieldElement, m: int):
+    """p / h when h(z - i*kappa) divides p exactly for every i < m, else None."""
+    quot, rem = divmod(p, h)
+    if not rem.is_zero():
+        return None
     back = -kappa
-    for i in range(m):
-        if i:
-            h = h.taylor_shift(back)
+    for _ in range(1, m):
+        h = h.taylor_shift(back)
         if not (p % h).is_zero():
-            return False
-    return True
+            return None
+    return quot
 
 
 def shift_window_excess(order: Callable[[FieldElement], int], w, kappa, m: int) -> int:

@@ -15,10 +15,10 @@ from .errors import ZeroPolynomialError
 from .poly import (
     FactoredPoly,
     Polynomial,
+    _shift_gcd_split,
     gcd,
     require_order,
     require_shift,
-    shift_gcd_factor,
     shift_window_excess,
 )
 
@@ -40,14 +40,14 @@ def diff_radical_m(p: Polynomial, kappa, m: int = 2) -> RadicalResult:
     """Order-m difference radical along the kappa-lattice (gcd route).
 
     The cofactor is the monic gcd of p(z), p(z+kappa), ..., p(z+(m-1)kappa);
-    the radical is the monic exact quotient p / cofactor.
+    the radical is the monic exact quotient p / cofactor, the one that
+    proving the cofactor already computed.
     """
     if p.is_zero():
         raise ZeroPolynomialError("radical of the zero polynomial is undefined")
     kappa = require_shift(p.tower, kappa, "difference radical")
     require_order(m, 2, "radical order")
-    cofactor = shift_gcd_factor(p, kappa, m)
-    radical = p.divide_exact(cofactor).monic()
+    cofactor, radical = _shift_gcd_split(p, kappa, m)
     return RadicalResult(
         radical=radical,
         cofactor=cofactor,

@@ -1,16 +1,20 @@
 """Zero divisors, disc counting, truncation and per-point order checks."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import diffrad.divisor
 import naive_poly
 from diffrad import (
     DependentInputsError,
     Divisor,
     FactoredPoly,
+    FieldElement,
     FieldTower,
     N_integrated,
     N_tilde_q_integrated,
@@ -245,24 +249,39 @@ def _oracle_rows(D, kappa, q, n, radii):
     ]
 
 
+def _overlapping_divisor(tower):
+    """Support points one step of kappa = 1 or kappa = i apart, so the factorial
+    divisor and the shifted copies of a truncation check share points.  The
+    origin, 1, 2, 3 + 4i and 4 + 3i = (4 + 4i) - i lie on the circles
+    |w| = 0, 1, 2, 5 of the radius lists below; (1 + sqrt(2))^2 and
+    (2 + sqrt(2))^2 are irrational."""
+    i, s2 = tower.sqrt_gen(0), tower.sqrt_gen(1)
+    return Divisor(
+        tower, {0: 2, 1: 1, 2: 3, 3 + 4 * i: 1, 4 + 4 * i: 2, 4 + 5 * i: 1, 1 + s2: 1, 2 + s2: 2}
+    )
+
+
 def test_check_truncation_rows_match_pointwise_oracle(tower):
     i, s2 = tower.sqrt_gen(0), tower.sqrt_gen(1)
     # the origin, |3 + 4i| = 5 and |2| = 2 on circles of the radius list,
     # an irrational |1 + sqrt(2)| and a point inside the unit disc
     D = Divisor(tower, {0: 2, 3 + 4 * i: 1, 2: 3, 1 + s2: 1, Fraction(-1, 2) + i / 2: 2})
+    lattice = _overlapping_divisor(tower)
     radii = [5, Fraction(1, 2), 2, 2, Fraction(3, 4), 1, 10, 5, 3]
-    for kappa in (1, i, Fraction(-3, 2)):
-        for q, n in ((1, 1), (2, 2), (3, 1)):
-            rows = check_truncation(D, kappa, q, n, radii).artifacts["per_radius"]
-            oracle = _oracle_rows(D, kappa, q, n, radii)
-            assert [row["r"] for row in rows] == ["1/2", "3/4", "1", "2", "3", "5", "10"]
-            for row, (r, n_lhs, n_rhs, N_lhs, N_rhs) in zip(rows, oracle, strict=True):
-                assert (row["r"], row["n_lhs"], row["n_rhs"]) == (r, n_lhs, n_rhs)
-                gap = abs(row["N_lhs"] - N_lhs) + abs(row["N_rhs"] - N_rhs)
-                assert gap <= row["N_error"] + 1e-12
-                assert row["N_error"] <= INTEGRATION_TOL
-                assert row["n_holds"] == (n_lhs <= n_rhs)
-                assert row["N_holds"] is (None if Fraction(r) < 1 else True)
+    cases = [(D, kappa, q, n) for kappa in (1, i, Fraction(-3, 2))
+             for q, n in ((1, 1), (2, 2), (3, 1))]
+    cases += [(lattice, kappa, q, n) for kappa in (1, i) for q, n in ((2, 3), (3, 3), (3, 2))]
+    for div, kappa, q, n in cases:
+        rows = check_truncation(div, kappa, q, n, radii).artifacts["per_radius"]
+        oracle = _oracle_rows(div, kappa, q, n, radii)
+        assert [row["r"] for row in rows] == ["1/2", "3/4", "1", "2", "3", "5", "10"]
+        for row, (r, n_lhs, n_rhs, N_lhs, N_rhs) in zip(rows, oracle, strict=True):
+            assert (row["r"], row["n_lhs"], row["n_rhs"]) == (r, n_lhs, n_rhs)
+            gap = abs(row["N_lhs"] - N_lhs) + abs(row["N_rhs"] - N_rhs)
+            assert gap <= row["N_error"] + 1e-12
+            assert row["N_error"] <= INTEGRATION_TOL
+            assert row["n_holds"] == (n_lhs <= n_rhs)
+            assert row["N_holds"] is (None if Fraction(r) < 1 else True)
     # a point on the circle adds exactly nothing, not a value within its error
     on_circle = N_integrated(Divisor(tower, {3 + 4 * i: 2}), 5)
     assert (on_circle.n_value, on_circle.N_value, on_circle.error) == (2, 0.0, 0.0)
@@ -272,6 +291,59 @@ def test_check_truncation_rows_match_pointwise_oracle(tower):
         cv = N_tilde_q_integrated(D, 1, 1, r)
         assert cv.n_value == n_val == n_tilde_q(D, 1, 1, r)
         assert abs(cv.N_value - N_val) <= cv.error + 1e-12
+
+
+class _Spy:
+    """Records the |w|^2 that the counting kernel compares and encloses."""
+
+    def __init__(self, monkeypatch):
+        self.compared, self.enclosed = Counter(), Counter()
+        compare, embed = diffrad.divisor.compare_real, FieldElement.embed
+
+        def spy_compare(a, b):
+            self.compared[a] += 1
+            return compare(a, b)
+
+        def spy_embed(x, *args):
+            self.enclosed[x] += 1
+            return embed(x, *args)
+
+        monkeypatch.setattr(diffrad.divisor, "compare_real", spy_compare)
+        monkeypatch.setattr(FieldElement, "embed", spy_embed)
+
+    def assert_each_point_once(self, points, radii):
+        """A binary search among 2^k - 1 radii makes exactly k comparisons, so
+        one placement per distinct point w != 0 means k calls per point; each
+        irrational |w|^2 strictly inside the largest radius is enclosed once."""
+        steps = len(radii).bit_length()
+        assert len(radii) == 2 ** steps - 1
+        expected = Counter()
+        for w in points:
+            if w:
+                expected[w.abs_squared()] += steps
+        assert self.compared == expected
+        top = max(radii) ** 2
+        inside = {a for a in expected if not a.is_rational() and compare_real(a, top) < 0}
+        assert self.enclosed == Counter(inside)
+        self.compared.clear()
+        self.enclosed.clear()
+
+
+def test_one_table_per_check_places_and_encloses_each_point_once(tower, monkeypatch):
+    D = _overlapping_divisor(tower)
+    radii = [10, Fraction(1, 2), 1, 2, 3, 5, 6]
+    spy = _Spy(monkeypatch)
+    for kappa in (tower.one, tower.sqrt_gen(0)):
+        for q, n in itertools.product((1, 2, 3), repeat=2):
+            fact = factorial_divisor(D, kappa, n)
+            lhs = {w for w, c in fact.items()
+                   if c > min(fact.multiplicity(w + kappa * j) for j in range(q + 1))}
+            shifted = {w - kappa * i for w in D.support() for i in range(q)}
+            assert lhs & shifted  # the sweeps overlap
+            check_truncation(D, kappa, q, n, radii)
+            spy.assert_each_point_once(lhs | shifted, radii)
+            counting_table(D, kappa, q, radii)
+            spy.assert_each_point_once(D.support(), radii)
 
 
 def test_counting_table_matches_one_radius_calls(tower):
@@ -397,7 +469,7 @@ def test_check_ord_inequality_failure_modes(tower):
     with pytest.raises(ZeroSumError):
         check_ord_inequality([z_poly, neg], 1)
     doubled = FactoredPoly(tower.rational(2), [(0, 1)])
-    with pytest.raises(DependentInputsError):
+    with pytest.raises(DependentInputsError, match="linearly dependent over constants"):
         check_ord_inequality([z_poly, doubled], 1)
     with pytest.raises(ValueError):
         check_ord_inequality([z_poly], 1)

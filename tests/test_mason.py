@@ -176,9 +176,17 @@ def test_multi_hypothesis_failures(tower):
     z = Polynomial.variable(tower)
     ps = [z, z + 1, z + z + 2]
     rep = check_mason_multi([z, z.scale(tower.rational(2)), z + z + z], 1)
-    assert not rep.hypotheses_ok  # dependent summands
+    assert not rep.hypotheses_ok  # common factor z: coprimality fails before independence
     rep = check_mason_multi([z, z + 1, z], 1)
     assert not rep.hypotheses_ok  # sum mismatch
+    # coprime but dependent summands (2 = 2 * 1, z + 1 = z + 1): the Casoratian vanishes
+    one = Polynomial.constant(tower.one)
+    for ps in ([one, one.scale(tower.rational(2)), one.scale(tower.rational(3))],
+               [z, one, z + 1, z + z + 2]):
+        rep = check_mason_multi(ps, 1)
+        assert rep.hypotheses[-1].name == "independent"
+        assert not rep.hypotheses[-1].passed and rep.holds is None
+        assert [h.passed for h in rep.hypotheses[:-1]] == [True] * 3
     with pytest.raises(ValueError):
         check_mason_multi([z, z + 1], 1)
 

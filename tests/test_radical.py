@@ -203,3 +203,28 @@ def test_radical_rejects_degenerate_inputs(tower):
         diff_radical_m(z, 1, 1)
     with pytest.raises(ValueError):
         diff_radical_from_roots(FactoredPoly(tower.one, [(0, 1)]), 1, 0)
+
+
+def test_radical_reuses_the_proof_quotient(tower, monkeypatch):
+    """diff_radical_m divides only inside the proof of its cofactor: m exact
+    divisions for a nontrivial cofactor, none when the cofactor is 1."""
+    divisions = []
+    original = Polynomial.__divmod__
+
+    def counted(p, d):
+        divisions.append(d)
+        return original(p, d)
+
+    kappa = tower.sqrt_gen(0)
+    lattice = FactoredPoly(tower.rational(3), [(Fraction(1, 2) + kappa * j, 2) for j in range(4)])
+    coprime = FactoredPoly(-tower.one, [(0, 1), (Fraction(1, 3), 2), (kappa / 2, 1)])
+    monkeypatch.setattr(Polynomial, "__divmod__", counted)
+    for f, m in ((lattice, 2), (lattice, 3), (coprime, 2), (coprime, 4)):
+        p = f.expand()
+        del divisions[:]
+        res = diff_radical_m(p, kappa, m)
+        expected = diff_radical_from_roots(f, kappa, m)
+        assert (res.radical, res.cofactor) == (expected.radical, expected.cofactor)
+        assert len(divisions) == (0 if res.cofactor == 1 else m)
+        if res.cofactor == 1:
+            assert res.radical == p.monic()
