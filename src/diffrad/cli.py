@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisor import (
+    DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
     Divisor,
     check_ord_inequality,
     check_truncation,
@@ -244,6 +247,10 @@ def cmd_fermat(session: Session, args) -> int:
 
 
 def cmd_divisor(session: Session, args) -> int:
+    if not MIN_PRECISION_BITS <= args.precision_bits <= MAX_PRECISION_BITS:
+        raise ParseError(
+            f"--precision-bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}]", 0
+        )
     radii = _parse_radii(args.radii)
 
     if args.ord_inequality:
@@ -364,7 +371,14 @@ def _build_parser() -> _Parser:
     p_div.add_argument("--radii", default="1,2,5,10", help="comma-separated rational radii")
     p_div.add_argument("--truncation", action="store_true", help="run the truncation check")
     p_div.add_argument("--ord-inequality", action="store_true", help="run the order inequality check")
-    p_div.add_argument("--precision-bits", type=int, default=40)
+    p_div.add_argument(
+        "--precision-bits",
+        type=int,
+        default=DEFAULT_PRECISION_BITS,
+        metavar="B",
+        help=f"working precision of the certified integrals, {MIN_PRECISION_BITS} to "
+        f"{MAX_PRECISION_BITS} bits (default {DEFAULT_PRECISION_BITS})",
+    )
     p_div.set_defaults(func=cmd_divisor)
 
     p_ex = sub.add_parser("examples", parents=[common], help="replay built-in worked examples")

@@ -9,15 +9,20 @@ and their integrated companions, evaluated in closed form
 
     N(r) = sum_{0<|w|<=r} c_w log(r/|w|) + c_0 log r
 
-with certified interval arithmetic. The min runs over the q+1 points
-w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
+with certified enclosures in integer fixed point: each logarithm is an
+integer pair (lo, hi) at the scale 2**-prec, from the atanh series with
+binary argument reduction (Brent and Zimmermann, Modern Computer
+Arithmetic, 4.4), and the sums over the points are exact.  The min runs
+over the q+1 points w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
 and _truncated_weights is the one place that translates q to m.
 
 Every count runs one kernel, a point table (_Table) per call.  The table
 places each distinct point once among the sorted radii by exact
 comparisons and encloses each distinct log|w|^2 once.  A sweep is a
 weighted prefix sum over the table: one weight list gives per-radius
-masses and log sums, and so n(r) and N(r) at every radius.
+masses and log sums, and so n(r) and N(r) at every radius.  No floating
+point enters before its last step, which rounds the enclosure of each
+radius to a value and an error bound.
 
 check_truncation verifies, radius by radius, that truncated counting of an
 order-n factorial power is dominated by q plain counts of shifted copies.
@@ -145,9 +150,17 @@ def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, in
     """ord_w - min over shifts w, w+kappa, ..., w+q*kappa, per support point."""
     kappa = require_shift(D.tower, kappa, "truncated counting")
     require_order(q, 1, "truncation order")
+    return _excess_weights(D._support, kappa, q)
+
+
+def _excess_weights(mult: dict, kappa: FieldElement, q: int) -> list[tuple[FieldElement, int]]:
+    """The nonzero truncated weights of a point -> multiplicity map."""
+    def order(w):
+        return mult.get(w, 0)
+
     out = []
-    for w in D.support():
-        excess = shift_window_excess(D.multiplicity, w, kappa, q + 1)
+    for w in mult:
+        excess = shift_window_excess(order, w, kappa, q + 1)
         if excess:
             out.append((w, excess))
     return out
@@ -162,25 +175,81 @@ class CountingValue:
     error: float
 
 
-# mpmath is imported where an integral is computed, not at package import,
-# so CLI calls that never integrate do not pay for loading it.
+# The logarithms are integer pairs (lo, hi) at a binary scale:
+# lo <= log(x) * 2**prec <= hi.
 
-def _iv_fraction(q: Fraction):
-    from mpmath import iv
+# A series in a ratio u/v with v of at most this many bits multiplies and
+# divides by the short u^2 and v^2; a longer one multiplies by t^2 in fixed
+# point.  Both cost one product per term, but the short one scales with
+# the precision, not its square.
+_SHORT_BITS = 64
 
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+# ln 2 per scale
+_LN2: dict[int, tuple[int, int]] = {}
 
 
-def _iv_real_enclosure(x: FieldElement, bits: int):
-    """Interval containing the real tower element x, endpoints widened outward."""
-    from mpmath import iv
+def _atanh_fixed(u: int, v: int, prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= atanh(u/v) * 2**prec <= hi, for 0 <= u/v <= 1/3.
 
-    if x.is_rational():
-        return _iv_fraction(x.as_fraction())
-    box = x.embed(bits)
-    lo = _iv_fraction(box.re_lo)
-    hi = _iv_fraction(box.re_hi)
-    return iv.mpf([lo.a, hi.b])
+    The series sum_k t^(2k+1)/(2k+1) in fixed point: t is converted once,
+    each power is the floor of the previous one times t^2 and each term
+    p // (2k+1).  t^2 multiplies as the fraction u^2/v^2 while v is short,
+    and as the fixed-point integer (u^2 << prec) // v^2 otherwise.  Every
+    floor rounds down, so the sum is a lower bound.  A power undershoots
+    its true value by less than 3 units (one unit from its own floor, one
+    from t^2's, and at most 1/9 of the previous error), a term by less than
+    4, and once the power floors to 0 the true tail is below 3 * 9/8 < 4
+    units: K terms are at most 4K + 4 units short.
+    """
+    if not u:
+        return 0, 0
+    p = (u << prec) // v
+    s, k = 0, 1
+    if v.bit_length() <= _SHORT_BITS:
+        u2, v2 = u * u, v * v
+        while p:
+            s += p // k
+            p = p * u2 // v2
+            k += 2
+    else:
+        t2 = ((u * u) << prec) // (v * v)
+        while p:
+            s += p // k
+            p = (p * t2) >> prec
+            k += 2
+    return s, s + 2 * k + 2  # k = 2K + 1
+
+
+def _log_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= log(num/den) * 2**prec <= hi, for num, den > 0.
+
+    num/den = 2**e * y with y in (2/3, 4/3], and log(num/den) = e * ln 2 +
+    2 atanh(t) with t = (y - 1)/(y + 1) in (-1/5, 1/7]; atanh is odd.
+    ln 2 = 2 atanh(1/3) is computed once per scale.
+    """
+    e = num.bit_length() - den.bit_length()
+    a, b = (num, den << e) if e >= 0 else (num << -e, den)
+    if a < b:
+        e -= 1
+        a <<= 1
+    if 3 * a > 4 * b:
+        e += 1
+        b <<= 1
+    t_lo, t_hi = _atanh_fixed(abs(a - b), a + b, prec)
+    lo, hi = (2 * t_lo, 2 * t_hi) if a >= b else (-2 * t_hi, -2 * t_lo)
+    if e:
+        ln2 = _LN2.get(prec)
+        if ln2 is None:
+            ln2 = _LN2[prec] = tuple(2 * x for x in _atanh_fixed(1, 3, prec))
+        if e > 0:
+            lo, hi = lo + e * ln2[0], hi + e * ln2[1]
+        else:
+            lo, hi = lo + e * ln2[1], hi + e * ln2[0]
+    return lo, hi
+
+
+MIN_PRECISION_BITS = 8
+MAX_PRECISION_BITS = 1024
 
 
 class _Table:
@@ -190,19 +259,31 @@ class _Table:
     closed disc holds w (len(radii) when none does), and tie says that w lies
     on that circle, so its open discs start one radius later.  Each distinct
     point w != 0 costs one binary search of exact comparisons of |w|^2
-    against the squared radii, the first time any sweep asks for it, and
-    each distinct |w|^2 is enclosed at most once for the logarithms, as is
-    each log r.  Every count and sweep of the call reads the same table.
+    against the squared radii, the first time any sweep asks for it.  Each
+    distinct |w|^2, and each radius, is given one logarithm enclosure: an
+    integer pair (lo, hi) at the scale 2**-prec (_log_fixed).  Every count
+    and sweep of the call reads the same table.
+
+    precision_bits (in [MIN_PRECISION_BITS, MAX_PRECISION_BITS]) is the
+    width asked of the boxes of irrational |w|^2; the logarithms work
+    40 bits finer (80 at the least), far below the float rounding of the
+    reported values.
     """
 
-    __slots__ = ("radii", "_r_sq", "_bits", "_places", "_logs", "_log_radii")
+    __slots__ = ("radii", "_r_sq", "_bits", "_prec", "_places", "_logs", "_log_radii")
 
     def __init__(self, radii, precision_bits: int = DEFAULT_PRECISION_BITS):
+        if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(
+                f"precision_bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}],"
+                f" got {precision_bits}"
+            )
         if radii and radii[0] < 0:
             raise ValueError("radius must be non-negative")
         self.radii = radii
         self._r_sq = [r * r for r in radii]
         self._bits = max(precision_bits + 24, 64)
+        self._prec = self._bits + 16
         self._places: dict = {}
         self._logs: dict = {}
         self._log_radii = None
@@ -230,18 +311,33 @@ class _Table:
             steps[self.place(w)[1]] += c
         return list(itertools.accumulate(steps[:-1]))
 
-    def _half_log(self, abs_sq: FieldElement):
-        """Enclosure of log|w| = log|w|^2 / 2 at the working precision, once per value."""
-        from mpmath import iv
+    def _log_abs_sq(self, abs_sq: FieldElement) -> tuple[int, int]:
+        """Enclosure of log|w|^2 at the scale 2**-prec, once per value.
 
+        An irrational |w|^2 is boxed in [lo, hi] with lo > 0 (the box's
+        precision doubles while it touches 0; embed raises past its cap).
+        log is increasing and log(hi) - log(lo) = log(hi/lo) <= hi/lo - 1,
+        so one logarithm, of lo, and that rational bound enclose it.
+        """
         enc = self._logs.get(abs_sq)
         if enc is None:
-            bits = self._bits
-            box = _iv_real_enclosure(abs_sq, bits)
-            while box.a <= 0:  # ends: embed raises past its precision cap
-                bits *= 2
-                box = _iv_real_enclosure(abs_sq, bits)
-            enc = self._logs[abs_sq] = iv.log(box) / 2
+            prec = self._prec
+            if abs_sq.is_rational():
+                x = abs_sq.as_fraction()
+                enc = _log_fixed(x.numerator, x.denominator, prec)
+            else:
+                bits = self._bits
+                box = abs_sq.embed(bits)
+                while box.re_lo <= 0:
+                    bits *= 2
+                    box = abs_sq.embed(bits)
+                lo, hi = box.re_lo, box.re_hi
+                lo_num, lo_den = lo.numerator, lo.denominator
+                low, high = _log_fixed(lo_num, lo_den, prec)
+                # ceil((hi - lo)/lo * 2**prec), in integers
+                gap = hi.numerator * lo_den - lo_num * hi.denominator
+                enc = (low, high - (-(gap << prec) // (hi.denominator * lo_num)))
+            self._logs[abs_sq] = enc
         return enc
 
     def sweep(self, weights) -> list[CountingValue]:
@@ -249,41 +345,50 @@ class _Table:
 
         The closed form
 
-            N(r) = sum_{0<|w|<r} c_w (log r - log|w|^2 / 2) + c_0 log r
+            2 N(r) = sum_{0<|w|<r} c_w (2 log r - log|w|^2) + 2 c_0 log r
 
         is a multiple of log r minus a prefix sum of per-point terms, so the
         sweep only adds up table entries: per-radius masses and log sums,
-        accumulated over the radii.  A point on the circle |w| = r
+        accumulated over the radii.  Every entry is an integer pair at the
+        scale 2**-prec, and a negative weight swaps the ends it multiplies,
+        so the sums are exact and each radius ends with one pair (lo, hi)
+        around 2 N(r).  N_value is its midpoint; the error is a little over
+        its half width, plus 4e-16 |N_value| for the float roundings of the
+        midpoint and of sums of rows.  A point on the circle |w| = r
         contributes exactly nothing, as log(r/|w|) = 0.
         """
-        from mpmath import iv
-
         radii = self.radii
         if radii[0] <= 0:
             raise ValueError("integrated counting needs a positive radius")
         weights = list(weights)
         counts = self.counts(weights)
-        saved_prec = iv.prec
-        iv.prec = self._bits + 16
-        try:
-            if self._log_radii is None:
-                self._log_radii = [iv.log(_iv_fraction(r)) for r in radii]
-            mass, logs = [0] * (len(radii) + 1), [iv.mpf(0)] * (len(radii) + 1)
-            for w, c in weights:
-                abs_sq, k, tie = self.place(w)
-                k += tie
-                mass[k] += c
-                if abs_sq and k < len(radii):
-                    logs[k] += c * self._half_log(abs_sq)
-            out = []
-            inside, log_sum = 0, iv.mpf(0)
-            for log_r, n_val, c, log_c in zip(self._log_radii, counts, mass, logs):
-                inside, log_sum = inside + c, log_sum + log_c
-                total = inside * log_r - log_sum if inside else iv.mpf(0)
-                mid = float(total.mid)
-                out.append(CountingValue(n_val, mid, float(total.delta) * 0.51 + 4e-16 * abs(mid)))
-        finally:
-            iv.prec = saved_prec
+        prec = self._prec
+        if self._log_radii is None:
+            self._log_radii = [_log_fixed(r.numerator, r.denominator, prec) for r in radii]
+        size = len(radii) + 1
+        mass, logs_lo, logs_hi = [0] * size, [0] * size, [0] * size
+        for w, c in weights:
+            abs_sq, k, tie = self.place(w)
+            k += tie
+            mass[k] += c
+            if abs_sq and k < len(radii):
+                lo, hi = self._log_abs_sq(abs_sq)
+                if c < 0:
+                    lo, hi = hi, lo
+                logs_lo[k] += c * lo
+                logs_hi[k] += c * hi
+        out = []
+        inside = sum_lo = sum_hi = 0
+        scale = 1 << (prec + 2)  # (lo + hi) / scale is the midpoint of N(r)
+        rows = zip(self._log_radii, counts, mass, logs_lo, logs_hi)
+        for (r_lo, r_hi), n_val, c, c_lo, c_hi in rows:
+            inside, sum_lo, sum_hi = inside + c, sum_lo + c_lo, sum_hi + c_hi
+            if inside < 0:
+                r_lo, r_hi = r_hi, r_lo
+            lo = 2 * inside * r_lo - sum_hi
+            hi = 2 * inside * r_hi - sum_lo
+            mid = (lo + hi) / scale
+            out.append(CountingValue(n_val, mid, (hi - lo) / scale * 1.02 + 4e-16 * abs(mid)))
         return out
 
 
@@ -356,16 +461,21 @@ def check_truncation(
         raise ValueError("radii must be positive")
     radii = sorted(set(radii))
 
-    fact = factorial_divisor(D, kappa, n)
     # One table for the 1+q sweeps: the factorial support {w - i*kappa : i < n}
-    # and the shifted supports {w - i*kappa : i < q} share their points.  The
-    # i-th shifted copy carries D's weights at w - i*kappa, in D's order.
+    # and the shifted supports {w - i*kappa : i < q} share their points, so
+    # each copy is built once.  The i-th shifted copy carries D's weights at
+    # w - i*kappa; the factorial divisor is the sum of the first n copies.
     table = _Table(radii, precision_bits)
-    lhs_rows = table.sweep(_truncated_weights(fact, kappa, q))
-    rhs_sweeps = []
-    for i in range(q):
+    copies = []
+    for i in range(max(n, q)):
         step = kappa * i
-        rhs_sweeps.append(table.sweep([(w - step, c) for w, c in D.items()]))
+        copies.append([(w - step, c) for w, c in D.items()])
+    fact: dict[FieldElement, int] = {}
+    for copy in copies[:n]:
+        for w, c in copy:
+            fact[w] = fact.get(w, 0) + c
+    lhs_rows = table.sweep(_excess_weights(fact, kappa, q))
+    rhs_sweeps = [table.sweep(copy) for copy in copies[:q]]
 
     per_radius = []
     all_ok = True

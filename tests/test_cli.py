@@ -241,11 +241,35 @@ def _fresh_python(*args):
     )
 
 
-def test_cli_import_does_not_load_mpmath():
-    """mpmath is loaded only where a certified integral is computed."""
-    code = "import sys, diffrad.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+def test_counting_runs_without_mpmath():
+    """No part of the package needs mpmath: with its import blocked, the
+    truncation check still certifies its integrals, in the CLI and the API."""
+    code = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from diffrad import Divisor, check_truncation, default_tower",
+        "from diffrad.cli import main",
+        "argv = ['divisor', '--divisor', '(1+sqrt(2),1),(3,2)', '--truncation']",
+        "assert main(argv + ['--q', '2', '--n', '2']) == 0",
+        "tower = default_tower()",
+        "D = Divisor(tower, {1 + tower.sqrt_gen(1): 1, 3: 2})",
+        "assert check_truncation(D, 1, 2, 2, [1, 2, 5, 10]).holds is True",
+    ])
     proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+    assert "bound holds" in proc.stdout
+
+
+@pytest.mark.parametrize("bits, code", [(-5, 3), (0, 3), (7, 3), (8, 0), (1024, 0), (1025, 3)])
+def test_precision_bits_range(capsys, bits, code):
+    argv = ["divisor", "--divisor", "(1+sqrt(2),1),(3,2)", "--truncation", "--q", "2", "--n", "2"]
+    assert main(argv + ["--precision-bits", str(bits)]) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err == "diffrad: --precision-bits must be in [8, 1024] (at position 0)\n"
+        assert captured.out == ""
+    else:
+        assert "bound holds" in captured.out
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):

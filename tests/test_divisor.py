@@ -224,6 +224,37 @@ def test_check_truncation_below_radius_one_has_no_verdict(tower):
     assert report.holds is True
 
 
+def test_exact_tie_with_q_3_holds(tower):
+    # With n = q = 3 the truncated factorial weights are exactly the three
+    # shifted copies of D, so both integrated sides are one value.  The
+    # left is rounded once, the right is a float sum of three rounded
+    # values; at r = 5 the sum comes out below the left, and only the float
+    # rounding term of the certified error keeps the tie.
+    i = tower.sqrt_gen(0)
+    w = Fraction(-3, 2) - i
+    D = Divisor(tower, {w: 1, w + 5 * i: 2})
+    report = check_truncation(D, 1, 3, 3, [1, 2, 3, 5, 7, 10])
+    assert report.artifacts["factorial_support"] == len(factorial_divisor(D, 1, 3)) == 6
+    rows = report.artifacts["per_radius"]
+    assert all(row["N_holds"] is True for row in rows)
+    assert all(abs(row["N_lhs"] - row["N_rhs"]) <= row["N_error"] <= 1e-14 for row in rows)
+    tie = next(row for row in rows if row["r"] == "5")
+    assert tie["N_lhs"] > tie["N_rhs"]
+    assert report.holds is True
+
+
+def test_precision_bits_range(tower):
+    D = Divisor(tower, {1 + tower.sqrt_gen(1): 1, 3: 2})
+    for bits in (-5, 0, 7, 1025):
+        with pytest.raises(ValueError, match="precision_bits"):
+            N_integrated(D, 2, bits)
+        with pytest.raises(ValueError, match="precision_bits"):
+            check_truncation(D, 1, 2, 2, [1, 2], bits)
+    for bits in (8, 1024):
+        rows = check_truncation(D, 1, 2, 2, [1, 2, 5], bits).artifacts["per_radius"]
+        assert all(row["N_holds"] and row["N_error"] <= INTEGRATION_TOL for row in rows)
+
+
 def _oracle_rows(D, kappa, q, n, radii):
     """check_truncation's rows from one compare_real per (point, radius) and math.log."""
     def count(weights, r):
