@@ -178,12 +178,6 @@ class CountingValue:
 # The logarithms are integer pairs (lo, hi) at a binary scale:
 # lo <= log(x) * 2**prec <= hi.
 
-# A series in a ratio u/v with v of at most this many bits multiplies and
-# divides by the short u^2 and v^2; a longer one multiplies by t^2 in fixed
-# point.  Both cost one product per term, but the short one scales with
-# the precision, not its square.
-_SHORT_BITS = 64
-
 # ln 2 per scale
 _LN2: dict[int, tuple[int, int]] = {}
 
@@ -192,11 +186,10 @@ def _atanh_fixed(u: int, v: int, prec: int) -> tuple[int, int]:
     """(lo, hi) with lo <= atanh(u/v) * 2**prec <= hi, for 0 <= u/v <= 1/3.
 
     The series sum_k t^(2k+1)/(2k+1) in fixed point: t is converted once,
-    each power is the floor of the previous one times t^2 and each term
-    p // (2k+1).  t^2 multiplies as the fraction u^2/v^2 while v is short,
-    and as the fixed-point integer (u^2 << prec) // v^2 otherwise.  Every
-    floor rounds down, so the sum is a lower bound.  A power undershoots
-    its true value by less than 3 units (one unit from its own floor, one
+    each power is the floor of the previous one times the fixed-point
+    t^2 = (u^2 << prec) // v^2, and each term p // (2k+1).  Every floor
+    rounds down, so the sum is a lower bound.  A power undershoots its true
+    value by less than 3 units (one unit from its own floor, less than one
     from t^2's, and at most 1/9 of the previous error), a term by less than
     4, and once the power floors to 0 the true tail is below 3 * 9/8 < 4
     units: K terms are at most 4K + 4 units short.
@@ -204,19 +197,12 @@ def _atanh_fixed(u: int, v: int, prec: int) -> tuple[int, int]:
     if not u:
         return 0, 0
     p = (u << prec) // v
+    t2 = ((u * u) << prec) // (v * v)
     s, k = 0, 1
-    if v.bit_length() <= _SHORT_BITS:
-        u2, v2 = u * u, v * v
-        while p:
-            s += p // k
-            p = p * u2 // v2
-            k += 2
-    else:
-        t2 = ((u * u) << prec) // (v * v)
-        while p:
-            s += p // k
-            p = (p * t2) >> prec
-            k += 2
+    while p:
+        s += p // k
+        p = (p * t2) >> prec
+        k += 2
     return s, s + 2 * k + 2  # k = 2K + 1
 
 
