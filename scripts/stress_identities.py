@@ -5,7 +5,7 @@ Each suite draws fresh random inputs and asserts an identity that must hold
 on every single trial: the radical product decomposition, the counting
 properties, the degree bounds for sum identities, oracle agreement between
 the gcd and root routes, factorial power bounds, truncated counting
-domination, and the pointwise order inequality.
+domination, the pointwise order inequality, and the print/parse round trip.
 
     python scripts/stress_identities.py --trials 200 --seed 7
     python scripts/stress_identities.py --suites lemma,oracle --max-deg 15
@@ -20,6 +20,7 @@ from diffrad import (
     Form,
     N_integrated,
     N_tilde_q_integrated,
+    Polynomial,
     default_tower,
     check_fermat_theorem,
     check_mason_multi,
@@ -34,12 +35,17 @@ from diffrad import (
     n_count,
     n_tilde,
     n_tilde_q,
+    parse_factored,
+    parse_poly,
+    print_factored,
+    print_poly,
     shift_divisor,
 )
 from diffrad.generators import (
     random_divisor,
     random_factored,
     random_fermat_instance,
+    random_fraction,
     random_kappa,
     random_mason_triple,
     random_mason_tuple,
@@ -146,6 +152,20 @@ def suite_ord(rng, tower, trials, max_deg):
         assert not report.artifacts["violations"]
 
 
+def suite_roundtrip(rng, tower, trials, max_deg):
+    def element():
+        # Any subset of the 2^depth basis coordinates, products of roots included.
+        return tower.element(
+            [random_fraction(rng, 9, 4) if rng.random() < 0.6 else 0 for _ in range(tower.dim)]
+        )
+
+    for _ in range(trials):
+        p = Polynomial(tower, [element() for _ in range(rng.randint(0, max_deg))])
+        assert parse_poly(print_poly(p), tower) == p, print_poly(p)
+        f = random_factored(rng, tower, random_kappa(rng, tower))
+        assert parse_factored(print_factored(f), tower) == f, print_factored(f)
+
+
 SUITES = {
     "lemma": suite_lemma,
     "counts": suite_counts,
@@ -155,6 +175,7 @@ SUITES = {
     "fermat": suite_fermat,
     "divisor": suite_divisor,
     "ord": suite_ord,
+    "roundtrip": suite_roundtrip,
 }
 
 
@@ -187,9 +208,9 @@ def main(argv=None):
             SUITES[name](rng, tower, args.trials, args.max_deg)
         except AssertionError as exc:
             failures += 1
-            print(f"{name:<8} FAIL after {time.perf_counter() - t0:.2f}s: {exc}")
+            print(f"{name:<9} FAIL after {time.perf_counter() - t0:.2f}s: {exc}")
             continue
-        print(f"{name:<8} ok  {args.trials} trials  {time.perf_counter() - t0:.2f}s")
+        print(f"{name:<9} ok  {args.trials} trials  {time.perf_counter() - t0:.2f}s")
     if failures:
         print(f"{failures}/{len(names)} suites failed", file=sys.stderr)
     return 1 if failures else 0

@@ -88,7 +88,7 @@ def _build_session(args) -> Session:
         tower = tower.adjoin_sqrt(Fraction(d))
     kappa = parse_constant(args.kappa, tower)
     if kappa.is_zero():
-        raise ParseError("--kappa must be nonzero", 0)
+        raise ParseError("--kappa must be nonzero")
     return Session(
         tower=tower,
         kappa=kappa,
@@ -107,15 +107,15 @@ def _parse_radii(text: str) -> list[Fraction]:
         try:
             out.append(Fraction(chunk))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad radius {chunk!r}", 0) from exc
+            raise ParseError(f"bad radius {chunk!r}") from exc
     if not out:
-        raise ParseError("--radii needs at least one value", 0)
+        raise ParseError("--radii needs at least one value")
     return out
 
 
 def _read_divisor(session: Session, inline: str | None, path: str | None) -> Divisor:
     if (inline is None) == (path is None):
-        raise ParseError("give exactly one of --divisor or --file", 0)
+        raise ParseError("give exactly one of --divisor or --file")
     if inline is not None:
         body = inline if ";" in inline else "1;" + inline
         return divisor_of(parse_factored(body, session.tower))
@@ -123,7 +123,7 @@ def _read_divisor(session: Session, inline: str | None, path: str | None) -> Div
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}", 0) from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     entries = [parse_root_mult(obj, session.tower) for obj in iter_objects(lines)]
     return Divisor(session.tower, entries)
 
@@ -169,11 +169,11 @@ def _emit_report(session: Session, command: str, report: CheckReport) -> int:
 
 def cmd_radical(session: Session, args) -> int:
     if (args.poly is None) == (args.factored is None):
-        raise ParseError("give exactly one of POLY or --factored", 0)
+        raise ParseError("give exactly one of POLY or --factored")
     if args.oracle and args.factored is None:
-        raise ParseError("--oracle needs --factored input (known roots)", 0)
+        raise ParseError("--oracle needs --factored input (known roots)")
     if args.m < 2:
-        raise ParseError("--m must be at least 2", 0)
+        raise ParseError("--m must be at least 2")
 
     factored = None
     if args.factored is not None:
@@ -227,7 +227,7 @@ def cmd_radical(session: Session, args) -> int:
 def cmd_mason(session: Session, args) -> int:
     polys = [parse_poly(text, session.tower) for text in args.polys]
     if len(polys) < 3:
-        raise ParseError("mason needs at least three polynomials", 0)
+        raise ParseError("mason needs at least three polynomials")
     if len(polys) == 3 and not args.multi:
         report = check_mason_triple(polys[0], polys[1], polys[2], session.kappa)
     else:
@@ -241,7 +241,7 @@ def cmd_fermat(session: Session, args) -> int:
     try:
         inst = FermatInstance(tuple(polys), session.kappa, args.n, form)
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from exc
+        raise ParseError(str(exc)) from exc
     report = check_fermat_theorem(inst, coprimality=session.coprimality)
     return _emit_report(session, "fermat", report)
 
@@ -249,19 +249,19 @@ def cmd_fermat(session: Session, args) -> int:
 def cmd_divisor(session: Session, args) -> int:
     if not MIN_PRECISION_BITS <= args.precision_bits <= MAX_PRECISION_BITS:
         raise ParseError(
-            f"--precision-bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}]", 0
+            f"--precision-bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}]"
         )
     radii = _parse_radii(args.radii)
 
     if args.ord_inequality:
         if not args.inputs:
-            raise ParseError("--ord-inequality needs factored polynomials", 0)
+            raise ParseError("--ord-inequality needs factored polynomials")
         gs = [parse_factored(text, session.tower) for text in args.inputs]
         report = check_ord_inequality(gs, session.kappa, radii)
         return _emit_report(session, "divisor", report)
 
     if args.inputs:
-        raise ParseError("positional inputs are only used with --ord-inequality", 0)
+        raise ParseError("positional inputs are only used with --ord-inequality")
     D = _read_divisor(session, args.divisor, args.file)
 
     if args.truncation:
@@ -300,7 +300,7 @@ def cmd_examples(session: Session, args) -> int:
     try:
         results = run_all(names=names)
     except KeyError as exc:
-        raise ParseError(str(exc), 0) from exc
+        raise ParseError(str(exc)) from exc
     all_ok = all(res.ok for res in results)
     lines = []
     for res in results:

@@ -52,11 +52,14 @@ class ParseError(ValueError):
     """Source text rejected by the expression parser.
 
     Carries the 0-based offset of the offending token and, when known, the
-    set of token kinds that would have been accepted there.
+    set of token kinds that would have been accepted there.  A bad flag
+    value has no source text: position None, and no suffix.
     """
 
-    def __init__(self, message: str, position: int, expected: frozenset[str] = frozenset()):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(
+        self, message: str, position: int | None = None, expected: frozenset[str] = frozenset()
+    ):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
         self.expected = expected
 

@@ -324,7 +324,7 @@ class FieldTower:
 
     __slots__ = (
         "_gens", "_signs", "_table", "_tden", "_flips", "_pad", "_box_cache", "_sqrt_cache",
-        "_fp_images", "_hash",
+        "_fp_images", "_print_memo", "_hash",
     )
 
     def __init__(self, gens=(), signs=()):
@@ -342,6 +342,8 @@ class FieldTower:
         self._sqrt_cache: dict = {}
         # Images in F_p for the modular gcd, found on first use (modular.images).
         self._fp_images = None
+        # Generator names and basis print order, built on first use (parser).
+        self._print_memo = None
         self._hash = hash(self._gens)
 
     @classmethod
@@ -457,9 +459,9 @@ class FieldTower:
     def describe(self) -> str:
         if not self._gens:
             return "Q"
-        from .parser import _gen_symbols  # local import, no cycle at load
+        from .parser import _print_memo  # local import, no cycle at load
 
-        return "Q(" + ", ".join(_gen_symbols(self)) + ")"
+        return "Q(" + ", ".join(_print_memo(self)[0]) + ")"
 
     def __repr__(self):
         return f"FieldTower({self.describe()})"

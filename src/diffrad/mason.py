@@ -35,14 +35,19 @@ def casoratian(ps: Sequence[Polynomial], kappa) -> Polynomial:
     kappa^(m(m-1)/2) prod_j l_j det[(d_j)_i].  As (d)_i is monic of degree
     i in d, row operations reduce det[(d_j)_i] to the Vandermonde
     det[d_j^i] = prod_{j<k} (d_k - d_j), nonzero for distinct d_j.
+
+    So Bareiss runs on those rows, row i built as Delta of row i - 1, bottom
+    row first: Delta^(m-1) p_j, constants or zero, are the first pivots, and
+    reversing m rows flips the sign m(m-1)/2 times.
     """
     if not ps:
         raise ValueError("casoratian of an empty list")
     kappa = require_shift(ps[0].tower, kappa, "casoratian")
     rows = [list(ps)]
-    for i in range(1, len(ps)):
-        rows.append([p.taylor_shift(kappa * i) for p in ps])
-    return _det_bareiss(rows)
+    for _ in range(1, len(ps)):
+        rows.append([q.taylor_shift(kappa) - q for q in rows[-1]])
+    det = _det_bareiss(rows[::-1])
+    return -det if len(ps) * (len(ps) - 1) // 2 % 2 else det
 
 
 def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:

@@ -7,6 +7,10 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     factor  := atom (('^' | '**') nat)?
     atom    := nat | 'i' | 'sqrt' '(' expr ')' | 'z' | '(' expr ')' | '-' factor
 
+Tokens come from one pass of a single pattern, whose last alternative
+catches a stray character.  Values are sparse, {degree: nonzero
+coefficient}; each parse builds one dense Polynomial, at the end.
+
 A power multiplies its base out once per unit of the exponent, so both the
 exponent and the degree of the power are capped at MAX_POWER (200): the
 densest power the cap admits, (z + 1 + i + sqrt(2) + sqrt(3))^200, parses
@@ -22,12 +26,13 @@ A value the tower cannot represent raises UnknownConstantError.
 Printing is deterministic: descending powers of z, each coefficient as a sum
 of basis terms ordered rational part first, then square roots by adjunction
 order, then i.  parse(print(p)) == p for towers whose radicands are rational.
+The generator names and the basis print order are built once per tower.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .errors import (
@@ -35,7 +40,7 @@ from .errors import (
     ParseError,
     UnknownConstantError,
 )
-from .field import FieldElement, FieldTower
+from .field import FieldElement, FieldTower, muladd
 from .poly import FactoredPoly, Polynomial
 
 # Largest exponent, and largest degree of a power, that the parser accepts.
@@ -45,8 +50,10 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<num>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<dstar>\*\*)"
-    r"|(?P<op>[-+*/^(),;])"
+    r"|(?P<pow>\*\*|\^)"
+    r"|(?P<op>[-+*/(),;])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -60,20 +67,46 @@ def _nat(text: str, pos: int) -> int:
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            kind = "pow" if m.lastgroup == "dstar" else m.lastgroup
-            text = m.group()
-            if kind == "op" and text == "^":
-                kind = "pow"
-            tokens.append((kind, text, m.start()))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(src)))
     return tokens
+
+
+# A parsed value is a sparse polynomial {degree: nonzero FieldElement}.
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        c = out[k] + c if k in out else c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _neg(a: dict) -> dict:
+    return {k: -c for k, c in a.items()}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for j, x in a.items():
+        for k, y in b.items():
+            acc = out.get(j + k)
+            out[j + k] = x * y if acc is None else muladd(acc, x, y)
+    return {k: c for k, c in out.items() if c}
+
+
+def _constant(value: dict, tower: FieldTower):
+    """The value's constant, or None when it involves z."""
+    if value.keys() - {0}:
+        return None
+    return value.get(0, tower.zero)
 
 
 class _Parser:
@@ -112,28 +145,29 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         acc = self.term()
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
             rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            acc = _add(acc, rhs if op == "+" else _neg(rhs))
         return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         acc = self.factor()
         while self.peek()[1] in ("*", "/"):
             _, op, pos = self.advance()
             rhs = self.factor()
             if op == "*":
-                acc = acc * rhs
+                acc = _mul(acc, rhs)
             else:
-                if not rhs.is_constant() or rhs.is_zero():
+                if rhs.keys() != {0}:
                     raise ParseError("divisor must be a nonzero constant", pos)
-                acc = acc.scale(rhs.constant_value().inverse())
+                inv = rhs[0].inverse()
+                acc = {k: c * inv for k, c in acc.items()}
         return acc
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.atom()
         kind, text, pos = self.peek()
         if kind != "pow":
@@ -151,20 +185,24 @@ class _Parser:
         self.advance()
         digits = ntext.lstrip("0")
         n = int(digits or "0") if len(digits) <= 6 else MAX_POWER + 1
-        if n > MAX_POWER or (n and base.degree * n > MAX_POWER):
+        if n > MAX_POWER or max(base, default=0) * n > MAX_POWER:
             raise ParseError(
                 f"powers are capped at exponent and degree {MAX_POWER}", npos
             )
-        return base ** n
+        out = {0: self.tower.one}
+        for _ in range(n):
+            out = _mul(out, base)
+        return out
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, text, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Polynomial(self.tower, (Fraction(_nat(text, pos)),))
+            n = _nat(text, pos)
+            return {0: self.tower.rational(n)} if n else {}
         if text == "-":
             self.advance()
-            return -self.factor()
+            return _neg(self.factor())
         if text == "(":
             self.advance()
             inner = self.expr()
@@ -173,28 +211,27 @@ class _Parser:
         if kind == "name":
             self.advance()
             if text == "z":
-                return Polynomial.variable(self.tower)
+                return {1: self.tower.one}
             if text == "i":
                 root = self.tower.sqrt_of_rational(-1)
                 if root is None:
                     raise UnknownConstantError("'i' is not in the tower", pos)
-                return Polynomial.constant(root)
+                return {0: root}
             if text == "sqrt":
                 self.expect("(")
-                inner = self.expr()
-                close = self.expect(")")
-                if not inner.is_constant() or not inner.constant_value().is_rational():
+                q = _constant(self.expr(), self.tower)
+                self.expect(")")
+                if q is None or not q.is_rational():
                     raise ParseError(
                         "sqrt argument must be a rational constant", pos
                     )
-                q = inner.constant_value()
                 q = q.as_fraction()
                 root = self.tower.sqrt_of_rational(q)
                 if root is None:
                     raise UnknownConstantError(
                         f"sqrt({q}) is not representable in the tower", pos
                     )
-                return Polynomial.constant(root)
+                return {0: root} if root else {}
             raise UnknownConstantError(f"unknown symbol {text!r}", pos)
         self.fail_atom()
 
@@ -203,8 +240,8 @@ class _Parser:
     def root_mult(self) -> tuple[FieldElement, int]:
         pos0 = self.peek()[2]
         self.expect("(")
-        root = self.expr()
-        if not root.is_constant():
+        root = _constant(self.expr(), self.tower)
+        if root is None:
             raise ParseError("roots must be constants", pos0)
         self.expect(",")
         sign = 1
@@ -220,11 +257,11 @@ class _Parser:
             )
         self.advance()
         self.expect(")")
-        return root.constant_value(), sign * _nat(text, pos)
+        return root, sign * _nat(text, pos)
 
     def factored(self) -> FactoredPoly:
-        lead = self.expr()
-        if not lead.is_constant():
+        lead = _constant(self.expr(), self.tower)
+        if lead is None:
             raise ParseError("leading coefficient must be a constant", 0)
         self.expect(";")
         entries = []
@@ -233,7 +270,7 @@ class _Parser:
             while self.peek()[1] == ",":
                 self.advance()
                 entries.append(self.root_mult())
-        return FactoredPoly(lead.constant_value(), entries)
+        return FactoredPoly(lead, entries)
 
 
 def _parse_all(src: str, tower: FieldTower, rule):
@@ -256,7 +293,9 @@ def _parse_all(src: str, tower: FieldTower, rule):
 
 def parse_poly(src: str, tower: FieldTower) -> Polynomial:
     """Parse an expression into a polynomial over the tower."""
-    return _parse_all(src, tower, _Parser.expr)
+    value = _parse_all(src, tower, _Parser.expr)
+    zero = tower.zero
+    return Polynomial(tower, [value.get(k, zero) for k in range(max(value, default=-1) + 1)])
 
 
 def parse_constant(src: str, tower: FieldTower) -> FieldElement:
@@ -288,70 +327,61 @@ def iter_objects(lines: Iterable[str]):
 # -- printing ---------------------------------------------------------------
 
 
-def _gen_symbols(tower: FieldTower) -> list[str]:
-    """Print names of the adjoined roots, e.g. ['i', 'sqrt(2)'].
-
-    Radicand idx lies in the subtower on roots 0..idx-1, so it prints with
-    the names built so far and never asks for its own.
+def _print_memo(tower: FieldTower):
+    """Generator names, e.g. ['i', 'sqrt(2)'], and the basis print order:
+    (mask, symbols of its roots, real ones first), by (number of imaginary
+    roots, mask).  Radicand idx lies in the subtower on roots 0..idx-1, so
+    it prints with the names built so far and never asks for its own.
     """
-    names: list[str] = []
-    for idx in range(tower.depth):
-        rad = tower.gen_radicand(idx)
-        if rad.is_rational():
-            q = rad.as_fraction()
-            names.append("i" if q == -1 else f"sqrt({q})")
-        else:
-            names.append(f"sqrt({_print_element(rad, names)})")
-    return names
+    memo = tower._print_memo
+    if memo is None:
+        imag = sum(1 << idx for idx in range(tower.depth) if tower.gen_sign(idx) < 0)
+        masks = sorted(range(tower.dim), key=lambda mask: (bin(mask & imag).count("1"), mask))
+
+        def order(names):
+            roots = sorted(range(len(names)), key=lambda idx: imag >> idx & 1)
+            return [
+                (mask, tuple([names[idx] for idx in roots if mask >> idx & 1]))
+                for mask in masks
+                if mask < 1 << len(names)
+            ]
+
+        names: list[str] = []
+        for idx in range(tower.depth):
+            rad = tower.gen_radicand(idx)
+            if rad.is_rational():
+                q = rad.as_fraction()
+                names.append("i" if q == -1 else f"sqrt({q})")
+            else:
+                names.append(f"sqrt({_print_element(rad, order(names))})")
+        memo = tower._print_memo = (names, order(names))
+    return memo
 
 
-def _basis_terms(x: FieldElement) -> list[tuple[Fraction, int]]:
-    """Nonzero (coordinate, basis mask) pairs in canonical print order."""
-    tower = x.tower
-    # Order: rational part first, then by (number of imaginary generators,
-    # mask) so real square roots precede terms containing i.
-    def key(mask: int):
-        imag = sum(
-            1 for idx in range(tower.depth)
-            if mask >> idx & 1 and tower.gen_sign(idx) < 0
-        )
-        return (imag, mask)
-
-    pairs = [(coord, mask) for mask, coord in enumerate(x.coords) if coord != 0]
-    pairs.sort(key=lambda cm: key(cm[1]))
-    return pairs
-
-
-def _product_atoms(coord: Fraction, mask: int, tower: FieldTower, symbols) -> tuple[int, list[str]]:
-    """Sign and the '*'-joined atoms of one basis term (no z part)."""
-    sign = -1 if coord < 0 else 1
-    mag = -coord if coord < 0 else coord
-    syms = []
-    real_syms = []
-    imag_syms = []
-    for idx in range(tower.depth):
-        if mask >> idx & 1:
-            (imag_syms if tower.gen_sign(idx) < 0 else real_syms).append(symbols[idx])
-    syms = real_syms + imag_syms
-    atoms = []
-    if mag != 1 or not syms:
-        atoms.append(str(mag))
-    atoms.extend(syms)
-    return sign, atoms
+def _basis_terms(x: FieldElement, order) -> list[tuple[int, tuple[str, ...]]]:
+    """(sign, '*'-joined atoms) of each nonzero basis term, in print order."""
+    num, den = x._num, x._den
+    terms = []
+    for mask, syms in order:
+        n = num[mask]
+        if n:
+            g = gcd(n, den)
+            mag = f"{abs(n) // g}" if g == den else f"{abs(n) // g}/{den // g}"
+            terms.append((-1 if n < 0 else 1, syms if mag == "1" and syms else (mag, *syms)))
+    return terms
 
 
 def print_element(x: FieldElement) -> str:
     """Canonical sum form of a tower element, e.g. `1/2 + sqrt(2)*i`."""
-    return _print_element(x, _gen_symbols(x.tower))
+    return _print_element(x, _print_memo(x.tower)[1])
 
 
-def _print_element(x: FieldElement, symbols: list[str]) -> str:
-    terms = _basis_terms(x)
+def _print_element(x: FieldElement, order) -> str:
+    terms = _basis_terms(x, order)
     if not terms:
         return "0"
     parts = []
-    for n, (coord, mask) in enumerate(terms):
-        sign, atoms = _product_atoms(coord, mask, x.tower, symbols)
+    for n, (sign, atoms) in enumerate(terms):
         chunk = "*".join(atoms)
         if n == 0:
             parts.append(chunk if sign > 0 else f"-{chunk}")
@@ -370,25 +400,22 @@ def print_poly(p: Polynomial) -> str:
     """Deterministic descending-degree form, round-trips through parse_poly."""
     if p.is_zero():
         return "0"
-    symbols = _gen_symbols(p.tower)
+    order = _print_memo(p.tower)[1]
     rendered: list[tuple[int, str]] = []  # (sign, body)
     for k in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[k]
         if c.is_zero():
             continue
-        terms = _basis_terms(c)
+        terms = _basis_terms(c, order)
         zpart = _z_power(k)
         if len(terms) == 1 or not zpart:
             # Flatten: a single basis term, or a constant (sum of plain terms).
-            for coord, mask in terms:
-                sign, atoms = _product_atoms(coord, mask, p.tower, symbols)
+            for sign, atoms in terms:
                 if zpart:
-                    if atoms == ["1"]:
-                        atoms = []
-                    atoms.append(zpart)
+                    atoms = (zpart,) if atoms == ("1",) else (*atoms, zpart)
                 rendered.append((sign, "*".join(atoms)))
         else:
-            inner = _print_element(c, symbols)
+            inner = _print_element(c, order)
             rendered.append((1, f"({inner})*{zpart}"))
     first_sign, first_body = rendered[0]
     out = [first_body if first_sign > 0 else f"-{first_body}"]

@@ -5,9 +5,15 @@ Each polynomial oracle works on coefficient lists with plain FieldElement
 fused kernels of `poly.py`, so a fault there cannot hide in its own
 reference.  The sign oracles decide signs by refining interval boxes of
 the complex embedding instead of the exact norm recursion of `field.py`.
+The parser oracle evaluates the expression grammar on such dense lists,
+after a tokenizer that matches one token at a time.
 """
 
+import re
+
 from diffrad import FactoredPoly, Polynomial, field
+from diffrad.errors import NegativeExponentError, ParseError, UnknownConstantError
+from diffrad.parser import MAX_POWER
 
 
 def _box_sign(x, part):
@@ -161,3 +167,217 @@ def casoratian(ps, kappa) -> Polynomial:
     kappa = ps[0].tower._coerce(kappa)
     rows = [list(ps)] + [[p.taylor_shift(kappa * i) for p in ps] for i in range(1, len(ps))]
     return det_cofactor(rows)
+
+
+# -- the parser oracle: one dense coefficient list per value -----------------
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<num>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<dstar>\*\*)"
+    r"|(?P<op>[-+*/^(),;])"
+)
+
+
+def _nat(text, pos):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(text)} digits)", pos) from None
+
+
+def tokenize(src):
+    """Tokens one anchored match at a time, failing at the first stray character."""
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            kind = "pow" if m.lastgroup == "dstar" else m.lastgroup
+            text = m.group()
+            if kind == "op" and text == "^":
+                kind = "pow"
+            tokens.append((kind, text, m.start()))
+        pos = m.end()
+    tokens.append(("end", "", len(src)))
+    return tokens
+
+
+class _DenseParser:
+    """The grammar of `diffrad.parser`, every value a dense coefficient list
+    combined with the schoolbook `add` and `mul` above."""
+
+    def __init__(self, src, tower):
+        self.tokens = tokenize(src)
+        self.tower = tower
+        self.k = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def advance(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expect(self, text):
+        kind, got, pos = self.peek()
+        if got != text:
+            raise ParseError(
+                f"expected {text!r}, found {got or 'end of input'!r}",
+                pos,
+                expected=frozenset({text}),
+            )
+        return self.advance()
+
+    def constant(self, value):
+        return value[0] if value else self.tower.zero
+
+    def expr(self):
+        acc = self.term()
+        while self.peek()[1] in ("+", "-"):
+            op = self.advance()[1]
+            rhs = self.term()
+            acc = add(self.tower, acc, rhs if op == "+" else [-c for c in rhs])
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek()[1] in ("*", "/"):
+            _, op, pos = self.advance()
+            rhs = self.factor()
+            if op == "*":
+                acc = mul(self.tower, acc, rhs)
+            else:
+                if len(rhs) != 1:
+                    raise ParseError("divisor must be a nonzero constant", pos)
+                inv = rhs[0].inverse()
+                acc = [c * inv for c in acc]
+        return acc
+
+    def factor(self):
+        base = self.atom()
+        kind, text, pos = self.peek()
+        if kind != "pow":
+            return base
+        self.advance()
+        nkind, ntext, npos = self.peek()
+        if ntext == "-":
+            raise NegativeExponentError("exponents must be natural numbers", npos)
+        if nkind != "num":
+            raise ParseError(
+                f"expected an integer exponent, found {ntext or 'end of input'!r}",
+                npos,
+                expected=frozenset({"number"}),
+            )
+        self.advance()
+        digits = ntext.lstrip("0")
+        n = int(digits or "0") if len(digits) <= 6 else MAX_POWER + 1
+        if n > MAX_POWER or (n and (len(base) - 1) * n > MAX_POWER):
+            raise ParseError(f"powers are capped at exponent and degree {MAX_POWER}", npos)
+        out = [self.tower.one]
+        for _ in range(n):
+            out = mul(self.tower, out, base)
+        return out
+
+    def atom(self):
+        kind, text, pos = self.peek()
+        if kind == "num":
+            self.advance()
+            return _trim([self.tower.rational(_nat(text, pos))])
+        if text == "-":
+            self.advance()
+            return [-c for c in self.factor()]
+        if text == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if kind == "name":
+            self.advance()
+            if text == "z":
+                return [self.tower.zero, self.tower.one]
+            if text == "i":
+                root = self.tower.sqrt_of_rational(-1)
+                if root is None:
+                    raise UnknownConstantError("'i' is not in the tower", pos)
+                return [root]
+            if text == "sqrt":
+                self.expect("(")
+                inner = self.expr()
+                self.expect(")")
+                if len(inner) > 1 or not self.constant(inner).is_rational():
+                    raise ParseError("sqrt argument must be a rational constant", pos)
+                q = self.constant(inner).as_fraction()
+                root = self.tower.sqrt_of_rational(q)
+                if root is None:
+                    raise UnknownConstantError(
+                        f"sqrt({q}) is not representable in the tower", pos
+                    )
+                return _trim([root])
+            raise UnknownConstantError(f"unknown symbol {text!r}", pos)
+        raise ParseError(
+            f"expected a number, symbol or '(', found {text or 'end of input'!r}",
+            pos,
+            expected=frozenset({"number", "i", "sqrt", "z", "(", "-"}),
+        )
+
+    def root_mult(self):
+        pos0 = self.peek()[2]
+        self.expect("(")
+        root = self.expr()
+        if len(root) > 1:
+            raise ParseError("roots must be constants", pos0)
+        self.expect(",")
+        sign = 1
+        if self.peek()[1] == "-":
+            self.advance()
+            sign = -1
+        kind, text, pos = self.peek()
+        if kind != "num":
+            raise ParseError(
+                f"expected an integer multiplicity, found {text or 'end of input'!r}",
+                pos,
+                expected=frozenset({"number"}),
+            )
+        self.advance()
+        self.expect(")")
+        return self.constant(root), sign * _nat(text, pos)
+
+    def factored(self):
+        lead = self.expr()
+        if len(lead) > 1:
+            raise ParseError("leading coefficient must be a constant", 0)
+        self.expect(";")
+        entries = []
+        if self.peek()[0] != "end":
+            entries.append(self.root_mult())
+            while self.peek()[1] == ",":
+                self.advance()
+                entries.append(self.root_mult())
+        return FactoredPoly(self.constant(lead), entries)
+
+    def whole(self, rule):
+        try:
+            out = rule()
+        except RecursionError:
+            raise ParseError("input nested too deeply", self.peek()[2]) from None
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
+        return out
+
+
+def parse_poly(src, tower) -> Polynomial:
+    """Reference for `diffrad.parse_poly`."""
+    p = _DenseParser(src, tower)
+    return Polynomial(tower, p.whole(p.expr))
+
+
+def parse_factored(src, tower) -> FactoredPoly:
+    """Reference for `diffrad.parse_factored`."""
+    p = _DenseParser(src, tower)
+    return p.whole(p.factored)

@@ -74,6 +74,34 @@ def test_radical_usage_errors(capsys):
     assert "diffrad:" in err
 
 
+# Checks on flag values and argument combinations: no source text, so no position.
+FLAG_ERRORS = [
+    (["radical", "z", "--m", "1"], "--m must be at least 2"),
+    (["radical", "z", "--kappa", "0"], "--kappa must be nonzero"),
+    (["radical"], "give exactly one of POLY or --factored"),
+    (["radical", "z", "--oracle"], "--oracle needs --factored input"),
+    (["mason", "z", "z + 1"], "mason needs at least three polynomials"),
+    (["fermat", "z", "z + 1", "z + 2", "--n", "0"], "exponent n must be a positive integer"),
+    (["divisor", "--divisor", "(0,1)", "--precision-bits", "7"], "--precision-bits must be in"),
+    (["divisor", "--divisor", "(0,1)", "--radii", "1,x"], "bad radius 'x'"),
+    (["divisor", "--divisor", "(0,1)", "--radii", ","], "--radii needs at least one value"),
+    (["divisor"], "give exactly one of --divisor or --file"),
+    (["divisor", "--file", "no-such-divisor-file.txt"], "cannot read no-such-divisor-file.txt"),
+    (["divisor", "--ord-inequality"], "--ord-inequality needs factored polynomials"),
+    (["divisor", "--divisor", "(0,1)", "z"], "positional inputs are only used"),
+    (["examples", "no-such-fixture"], "unknown fixture names"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FLAG_ERRORS, ids=[m for _, m in FLAG_ERRORS])
+def test_flag_value_errors_show_no_position(capsys, argv, message):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("diffrad: ") and message in err
+    assert err.count("\n") == 1 and "(at position" not in err
+
+
 def test_argparse_errors_exit_three():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

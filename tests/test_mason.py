@@ -39,13 +39,34 @@ def test_casoratian_known_values(tower):
     assert casoratian([z, z * z], k) == (z * (z + k)).scale(k)
 
 
+# Degrees d_1..d_m: m up to 5, so m(m-1)/2 is odd (m = 2, 3) and even
+# (m = 4, 5); constants; and d_j < m - 1, where Delta^(m-1) p_j vanishes and
+# the first pivot must be found in a later row.
+DEGREE_PATTERNS = [
+    (0, 1), (0, 0), (3, 0),
+    (0, 1, 2), (1, 0, 4), (0, 0, 3), (2, 1, 1),
+    (0, 1, 2, 3), (3, 1, 0, 2), (1, 1, 5, 0), (0, 2, 2, 4),
+    (0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (1, 0, 6, 2, 3), (0, 0, 1, 2, 5), (2, 2, 3, 3, 4),
+]
+
+
 def test_casoratian_matches_cofactor_expansion(tower):
     rng = random.Random(71)
     for trial in range(40):
         k = random_kappa(rng, tower)
-        m = 2 + trial % 3
+        m = 2 + trial % 4
         ps = [random_poly(rng, tower, 3, k) for _ in range(m)]
         assert casoratian(ps, k) == naive_poly.casoratian(ps, k)
+    half = Fraction(1, 2)
+    kappas = [tower.rational(1), tower.sqrt_gen(0) * half, tower.sqrt_gen(1) - half]
+    for degrees in DEGREE_PATTERNS:
+        for k in kappas:
+            ps = []
+            for d in degrees:
+                coeffs = [random_element(rng, tower, 3, 0.4) for _ in range(d + 1)]
+                coeffs[-1] = coeffs[-1] or tower.one
+                ps.append(Polynomial(tower, coeffs))
+            assert casoratian(ps, k) == naive_poly.casoratian(ps, k), (degrees, k)
 
 
 def test_determinant_routes_agree_on_matrices(tower):

@@ -5,7 +5,9 @@ import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive_poly
 from diffrad import (
     FactoredPoly,
     FieldTower,
@@ -195,3 +197,90 @@ def test_tower_with_non_rational_radicand_prints():
     p = Polynomial(t, (root, 0, 1 + t.sqrt_gen(0) + root))
     assert str(p) == "(1 + sqrt(2) + sqrt(1 + sqrt(2)))*z^2 + sqrt(1 + sqrt(2))"
     assert repr(p).startswith("Polynomial(")
+
+
+# -- differential test against the dense oracle in tests/naive_poly.py --------
+
+
+def _outcome(parse, src, tower):
+    """The parsed value, or the exception's class, message, position and
+    expected tokens."""
+    try:
+        return "ok", parse(src, tower)
+    except Exception as exc:  # every failure mode is compared, not only ParseError
+        return "error", type(exc), str(exc), getattr(exc, "position", None), getattr(
+            exc, "expected", None
+        )
+
+
+def _agree(src, tower):
+    for parse, oracle in (
+        (parse_poly, naive_poly.parse_poly),
+        (parse_factored, naive_poly.parse_factored),
+    ):
+        assert _outcome(parse, src, tower) == _outcome(oracle, src, tower), src
+
+
+_COORD = st.one_of(st.just(0), st.just(0), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+# Digits, z, i, sqrt(, operators and parentheses, plus a stray character and
+# an unknown symbol; joined with or without blanks, mostly malformed.
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "12", "z", "i", "sqrt(", "sqrt", "(", ")", "+", "-", "*", "/",
+     "^", "**", ",", ";", "q", "$"]
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parser_matches_dense_oracle_on_printed_input(any_tower, data):
+    t = any_tower
+    element = st.lists(_COORD, min_size=t.dim, max_size=t.dim).map(t.element)
+    p = Polynomial(t, data.draw(st.lists(element, max_size=5)))
+    _agree(print_poly(p), t)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f = random_factored(rng, t, random_kappa(rng, t))
+    _agree(print_factored(f), t)
+
+
+# Well-formed expressions too, so that most of them evaluate.  Powers take
+# only an atom or a sum of two, so no tower of powers blows up the sizes.
+_ATOMS = st.sampled_from(["0", "1", "2", "3", "z", "i", "sqrt(2)", "sqrt(-3)", "sqrt(1/2)"])
+
+
+def _binary(sub):
+    return st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda e: f"({e[0]} {e[1]} {e[2]})")
+
+
+_POWERS = st.tuples(st.one_of(_ATOMS, _binary(_ATOMS)), st.integers(0, 5)).map(
+    lambda e: f"{e[0]}^{e[1]}"
+)
+_EXPRESSIONS = st.recursive(
+    st.one_of(_ATOMS, _POWERS),
+    lambda sub: st.one_of(_binary(sub), sub.map(lambda e: f"-{e}")),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parser_matches_dense_oracle_on_token_strings(any_tower, data):
+    tokens = data.draw(st.lists(_TOKENS, max_size=12))
+    sep = data.draw(st.sampled_from(["", " "]))
+    _agree(sep.join(tokens), any_tower)
+    _agree(data.draw(_EXPRESSIONS), any_tower)
+
+
+EDGES = [
+    "", " ", "z^200", "z^201", "(z^2)^100", "(z^2)^101", "(z^3)^67", "z^0", "0^0", "(z-z)^300",
+    "z^0007", "z^" + "0" * 9 + "1", "2**3", "2^-1", "sqrt(0)", "z + sqrt(0)", "1/sqrt(0)",
+    "sqrt(0)^0", "sqrt(z - z) - z", "sqrt(-1)", "sqrt(1/0)", "0/0",
+    "z/0", "1/(z-z)", "z/(1+i)", "(z+1)*(z-1) - z*z", "-(-(-z))", "\u0663 + z", "z\n+\t1",
+    "1" + "0" * 5000, "(" * 50 + "z" + ")" * 50, "1;", "1 ; (0, 2), (i, -1)", "z; (0,1)",
+    "2; (z, 1)", "0; (1, 1)", "1; (1, 0)", "1; (1, 1),", "1; (1 1)", "(1, 2)",
+]
+
+
+@pytest.mark.parametrize("src", EDGES, ids=[repr(src)[:24] for src in EDGES])
+def test_parser_matches_dense_oracle_at_the_edges(tower, src):
+    _agree(src, tower)

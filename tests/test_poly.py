@@ -194,24 +194,6 @@ def test_derivative_product_rule(tower):
 DEGREES = range(25)
 
 
-def _nested_tower():
-    """Q(i, sqrt(2), sqrt(1 + sqrt(2))): the last radicand is not rational."""
-    base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
-    return base.adjoin_sqrt(1 + base.sqrt_gen(1))
-
-
-def _tden_tower():
-    """Q(i, sqrt(2), sqrt(1/2 + sqrt(2)/3)): its basis table has a denominator."""
-    base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
-    return base.adjoin_sqrt(Fraction(1, 2) + base.sqrt_gen(1) / 3)
-
-
-@pytest.fixture(scope="module", params=["default", "nested", "tden"])
-def any_tower(request, tower):
-    towers = {"default": lambda: tower, "nested": _nested_tower, "tden": _tden_tower}
-    return towers[request.param]()
-
-
 def _kappas(t):
     """A rational, an imaginary and an irrational shift."""
     half = t.rational(Fraction(1, 2))
