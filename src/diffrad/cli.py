@@ -300,7 +300,7 @@ def cmd_examples(session: Session, args) -> int:
     try:
         results = run_all(names=names)
     except KeyError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(exc.args[0]) from exc
     all_ok = all(res.ok for res in results)
     lines = []
     for res in results:

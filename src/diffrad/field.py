@@ -14,8 +14,10 @@ Each radicand must be real (fixed by conjugation of the tower built so far);
 positive radicands embed to the positive real root, negative ones to the
 root with positive imaginary part.  Signs of real elements, and so branch
 choices, are exact: a norm recursion over the roots (`_sign`).  Embeddings
-are rational rectangles containing the true value; they enclose values
-(integrals, `complex()`), never decide a sign or an equality.
+enclose values (integrals, `complex()`), never decide a sign or an equality.
+Every root is real or i times a real, so each basis element lies on an axis
+of the plane, and an embedding is a linear form over per-precision integer
+bounds on the basis (`FieldTower._bounds`), returned as a rational rectangle.
 """
 
 from __future__ import annotations
@@ -41,21 +43,6 @@ _MISSING = object()
 MAX_ENCLOSURE_BITS = 1 << 16
 
 
-def _sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(q) <= hi with hi - lo <= 2**-prec, for q >= 0."""
-    if q == 0:
-        return _F0, _F0
-    num, den = q.numerator, q.denominator
-    s = isqrt((num * den) << (2 * prec))
-    scale = den << prec
-    return Fraction(s, scale), Fraction(s + 1, scale)
-
-
-def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
-    p1, p2, p3, p4 = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
-    return min(p1, p2, p3, p4), max(p1, p2, p3, p4)
-
-
 class ComplexInterval:
     """Axis-aligned rational rectangle containing a complex number."""
 
@@ -66,25 +53,6 @@ class ComplexInterval:
         self.re_hi = re_hi
         self.im_lo = im_lo
         self.im_hi = im_hi
-
-    @classmethod
-    def point(cls, re: Fraction, im: Fraction = _F0) -> "ComplexInterval":
-        return cls(re, re, im, im)
-
-    def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(
-            self.re_lo + other.re_lo,
-            self.re_hi + other.re_hi,
-            self.im_lo + other.im_lo,
-            self.im_hi + other.im_hi,
-        )
-
-    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
-        ac = _iv_mul((self.re_lo, self.re_hi), (other.re_lo, other.re_hi))
-        bd = _iv_mul((self.im_lo, self.im_hi), (other.im_lo, other.im_hi))
-        ad = _iv_mul((self.re_lo, self.re_hi), (other.im_lo, other.im_hi))
-        bc = _iv_mul((self.im_lo, self.im_hi), (other.re_lo, other.re_hi))
-        return ComplexInterval(ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
 
     @property
     def width(self) -> Fraction:
@@ -99,6 +67,24 @@ class ComplexInterval:
             f"ComplexInterval([{float(self.re_lo)}, {float(self.re_hi)}]"
             f" + [{float(self.im_lo)}, {float(self.im_hi)}]*i)"
         )
+
+
+def _linear(num, bounds):
+    """Integer [re_lo, re_hi, im_lo, im_hi] enclosing sum num[s] * e_s.
+
+    bounds[s] = (k, lo, hi) says e_s = i**k * |e_s| with lo <= |e_s| <= hi
+    at the table's scale, so each term lies on one axis and its bounds are
+    integer products; zero coordinates are skipped.
+    """
+    out = [0, 0, 0, 0]
+    for c, (k, lo, hi) in zip(num, bounds):
+        if c:
+            if k >= 2:
+                c = -c
+            axis = (k & 1) << 1
+            out[axis] += c * (lo if c > 0 else hi)
+            out[axis + 1] += c * (hi if c > 0 else lo)
+    return out
 
 
 # Coordinate kernels.  A vector is a tuple of integer numerators together
@@ -475,42 +461,31 @@ class FieldTower:
             raise ValueError("element belongs to an incompatible tower")
         return self.rational(value)
 
-    def _root_box(self, index: int, prec: int) -> ComplexInterval:
-        """Enclosure of sqrt(d_index), from a radicand box refined until clear of 0."""
-        key = (index, prec)
-        cached = self._box_cache.get(key)
-        if cached is not None:
-            return cached
-        num, den = self._gens[index]
-        sign = self._signs[index]
-        work = prec
-        while work <= MAX_ENCLOSURE_BITS:
-            # The radicand is real: its box has imaginary part exactly zero.
-            box = _eval_box(num, den, self, work)
-            lo, hi = (box.re_lo, box.re_hi) if sign > 0 else (-box.re_hi, -box.re_lo)
-            if lo > 0:
-                lo, hi = _sqrt_bounds(lo, prec)[0], _sqrt_bounds(hi, prec)[1]
-                parts = (lo, hi, _F0, _F0) if sign > 0 else (_F0, _F0, lo, hi)
-                out = ComplexInterval(*parts)
-                break
-            work *= 2
-        else:
-            raise EnclosureWidthError(f"radicand {index} not separated from 0 within the cap")
-        self._box_cache[key] = out
-        return out
+    def _bounds(self, prec: int) -> tuple:
+        """Basis bounds at the scale 2**prec, memoised per precision.
 
-
-def _eval_box(num, den, tower: FieldTower, prec: int) -> ComplexInterval:
-    n = len(num)
-    if n == 1:
-        return ComplexInterval.point(Fraction(num[0], den))
-    h = n >> 1
-    lo = _eval_box(num[:h], den, tower, prec)
-    hi = num[h:]
-    # A zero upper half would add the exact point 0; skip it and its root box.
-    if not any(hi):
-        return lo
-    return lo + _eval_box(hi, den, tower, prec) * tower._root_box(h.bit_length() - 1, prec)
+        Entry s is (k, lo, hi) with e_s = i**k * |e_s| and integers
+        lo <= |e_s| * 2**prec <= hi.  Root j's real radicand is bounded by
+        the linear form over the entries below it and its roots by isqrt;
+        e_(s + 2**j) = e_s * root_j by integer products.  The table stops
+        before the first root whose radicand's bounds do not clear 0.
+        """
+        table = self._box_cache.get(prec)
+        if table is None:
+            table = [(0, 1 << prec, 1 << prec)]
+            for (num, den), sign in zip(self._gens, self._signs):
+                lo, hi, _, _ = _linear(num, table)
+                if sign < 0:
+                    lo, hi = -hi, -lo
+                lo, hi = lo // den, -(-hi // den)
+                if lo <= 0:
+                    break
+                r_lo, r_hi, kr = isqrt(lo << prec), isqrt((hi << prec) - 1) + 1, sign < 0
+                table += [
+                    ((k + kr) & 3, (a * r_lo) >> prec, -((-b * r_hi) >> prec)) for k, a, b in table
+                ]
+            table = self._box_cache[prec] = tuple(table)
+        return table
 
 
 class FieldElement:
@@ -667,19 +642,25 @@ class FieldElement:
     def embed(self, precision_bits: int = 53) -> ComplexInterval:
         """A rational rectangle containing the complex embedding.
 
-        The width never exceeds 2**-precision_bits (exact rationals come back
-        as zero-width points).  precision_bits must be at least 8.  Raises
+        The linear form over the tower's integer basis bounds (`_bounds`);
+        Fractions are built only for the four endpoints.  The width never
+        exceeds 2**-precision_bits (exact rationals come back as zero-width
+        points).  precision_bits must be at least 8.  Raises
         EnclosureWidthError when the working precision, doubling from
-        precision_bits + 4, passes MAX_ENCLOSURE_BITS first.
+        precision_bits + 4, passes MAX_ENCLOSURE_BITS first; a precision
+        whose table stops below a nonzero coordinate fails.
         """
         if precision_bits < 8:
             raise ValueError("precision_bits must be at least 8")
-        target = Fraction(1, 1 << precision_bits)
+        num, den = self._num, self._den
         prec = precision_bits + 4
         while prec <= MAX_ENCLOSURE_BITS:
-            box = _eval_box(self._num, self._den, self.tower, prec)
-            if box.width <= target:
-                return box
+            bounds = self.tower._bounds(prec)
+            if not any(num[len(bounds):]):
+                box = _linear(num, bounds)
+                scale = den << prec
+                if max(box[1] - box[0], box[3] - box[2]) << precision_bits <= scale:
+                    return ComplexInterval(*[Fraction(v, scale) for v in box])
             prec *= 2
         raise EnclosureWidthError(
             f"enclosure wider than 2**-{precision_bits} at {MAX_ENCLOSURE_BITS} bits"

@@ -15,7 +15,9 @@ A power multiplies its base out once per unit of the exponent, so both the
 exponent and the degree of the power are capped at MAX_POWER (200): the
 densest power the cap admits, (z + 1 + i + sqrt(2) + sqrt(3))^200, parses
 in under a second, and a larger one raises ParseError instead of
-running for minutes.
+running for minutes.  A constant base has degree 0, so the exponent times
+the bits of the base's largest numerator or denominator is capped too, at
+MAX_POWER_BITS: the size of the longest integer literal the parser reads.
 
 Division requires a nonzero constant divisor, so `3/4` is the rational
 three-quarters and `i/2` is half of i.  `sqrt` takes anything evaluating to a
@@ -45,6 +47,9 @@ from .poly import FactoredPoly, Polynomial
 
 # Largest exponent, and largest degree of a power, that the parser accepts.
 MAX_POWER = 200
+# Largest exponent times coefficient bits of a power's base: the bits of the
+# largest 4300-digit literal, Python's int/str limit that `_nat` enforces.
+MAX_POWER_BITS = 14285
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -63,6 +68,11 @@ def _nat(text: str, pos: int) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"integer literal too long ({len(text)} digits)", pos) from None
+
+
+def _height(value: dict) -> int:
+    """Bits of the largest numerator or denominator among the coefficients."""
+    return max((max(max(map(abs, c._num)), c._den).bit_length() for c in value.values()), default=0)
 
 
 def _tokenize(src: str):
@@ -189,6 +199,8 @@ class _Parser:
             raise ParseError(
                 f"powers are capped at exponent and degree {MAX_POWER}", npos
             )
+        if _height(base) * n > MAX_POWER_BITS:
+            raise ParseError(f"powers are capped at {MAX_POWER_BITS}-bit coefficients", npos)
         out = {0: self.tower.one}
         for _ in range(n):
             out = _mul(out, base)

@@ -10,23 +10,26 @@ after a tokenizer that matches one token at a time.
 """
 
 import re
+from math import lcm
 
 from diffrad import FactoredPoly, Polynomial, field
 from diffrad.errors import NegativeExponentError, ParseError, UnknownConstantError
-from diffrad.parser import MAX_POWER
+from diffrad.parser import MAX_POWER, MAX_POWER_BITS
 
 
 def _box_sign(x, part):
     """Sign of the real or imaginary part of x, by boxes of doubling precision."""
     if x.is_zero():
         return 0
-    for k in range(16):
-        box = field._eval_box(x._num, x._den, x.tower, 32 << k)
+    bits = 32
+    while bits < field.MAX_ENCLOSURE_BITS:
+        box = x.embed(bits)
         lo, hi = (box.re_lo, box.re_hi) if part == "re" else (box.im_lo, box.im_hi)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
+        bits *= 2
     raise AssertionError(f"boxes did not separate {x} from 0")
 
 
@@ -187,6 +190,17 @@ def _nat(text, pos):
         raise ParseError(f"integer literal too long ({len(text)} digits)", pos) from None
 
 
+def _height(coeffs):
+    """Bits of the largest numerator or denominator, each coefficient's
+    coordinates written over their least common denominator."""
+    bits = 0
+    for c in coeffs:
+        den = lcm(*(q.denominator for q in c.coords))
+        nums = [abs(q.numerator) * (den // q.denominator) for q in c.coords]
+        bits = max(bits, max(*nums, den).bit_length())
+    return bits
+
+
 def tokenize(src):
     """Tokens one anchored match at a time, failing at the first stray character."""
     tokens = []
@@ -278,6 +292,8 @@ class _DenseParser:
         n = int(digits or "0") if len(digits) <= 6 else MAX_POWER + 1
         if n > MAX_POWER or (n and (len(base) - 1) * n > MAX_POWER):
             raise ParseError(f"powers are capped at exponent and degree {MAX_POWER}", npos)
+        if _height(base) * n > MAX_POWER_BITS:
+            raise ParseError(f"powers are capped at {MAX_POWER_BITS}-bit coefficients", npos)
         out = [self.tower.one]
         for _ in range(n):
             out = mul(self.tower, out, base)

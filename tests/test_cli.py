@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,8 @@ def test_examples_runner(capsys):
     assert code == 0
     assert "6/6 fixtures reproduced" in out
     assert main(["examples", "bogus"]) == 3
+    # the message itself, not the repr of a KeyError
+    assert capsys.readouterr().err == "diffrad: unknown fixture names: bogus\n"
 
 
 def test_examples_tamper_detected(monkeypatch, capsys):
@@ -340,20 +343,15 @@ def test_cached_parser_help_matches_a_fresh_parser(capsys):
 
 
 def test_enclosure_width_error_is_a_domain_error(monkeypatch, capsys):
-    exact, pad = field._eval_box, Fraction(1, 2**30)
+    exact = field.FieldTower._bounds
 
-    def never_narrow(num, den, tw, prec):
-        # Still a true enclosure, but never narrower than 2**-29; capping the
-        # precision handed on keeps the refinements up to the cap cheap.
-        box = exact(num, den, tw, min(prec, 128))
-        return field.ComplexInterval(
-            box.re_lo - pad, box.re_hi + pad, box.im_lo - pad, box.im_hi + pad
-        )
+    def never_narrow(tw, prec):
+        # Still true bounds, but never closer than 2**-30 relative; the
+        # padding is added outside the memo, so nothing padded outlives the test.
+        pad = 1 << max(prec - 30, 0)
+        return tuple((k, lo - pad, hi + pad) for k, lo, hi in exact(tw, prec))
 
-    monkeypatch.setattr(field, "_eval_box", never_narrow)
-    # The padded root boxes and roots must not outlive the test.
-    monkeypatch.setattr(default_tower(), "_box_cache", {})
-    monkeypatch.setattr(default_tower(), "_sqrt_cache", {})
+    monkeypatch.setattr(field.FieldTower, "_bounds", never_narrow)
     # |1 + sqrt(2)|^2 is irrational, so its integral needs an enclosure.
     assert main(["divisor", "--divisor", "(1 + sqrt(2),1)", "--radii", "3"]) == 2
     err = capsys.readouterr().err
@@ -436,6 +434,16 @@ def test_typed_error_exit_code(monkeypatch, capsys, name, argv, code, message):
     assert out == ""
     assert err.startswith("diffrad: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["(((2^200)^200)^200)^200*z", "((2^200)^200)^200*z"])
+def test_power_bit_cap_is_a_parse_error(capsys, expr):
+    start = time.monotonic()
+    assert main(["radical", expr]) == 3
+    assert time.monotonic() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("diffrad: powers are capped at 14285-bit coefficients")
 
 
 @pytest.mark.parametrize("expr", ["z^20000", "2^100000000", "(z^2)^101"])

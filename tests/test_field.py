@@ -91,8 +91,9 @@ def test_embed_width_contract(tower):
 
 
 def test_embed_raises_when_refinement_cannot_reach_the_width(tower, monkeypatch):
-    wide = field.ComplexInterval(Fraction(1), Fraction(2), Fraction(0), Fraction(0))
-    monkeypatch.setattr(field, "_eval_box", lambda num, den, tw, prec: wide)
+    # |e_s| in [1, 2] at every precision: no box ever narrows.
+    wide = lambda tw, prec: ((0, 1 << prec, 2 << prec),) * tw.dim  # noqa: E731
+    monkeypatch.setattr(FieldTower, "_bounds", wide)
     with pytest.raises(EnclosureWidthError):
         tower.sqrt_gen(1).embed(16)
     with pytest.raises(EnclosureWidthError):
@@ -103,25 +104,29 @@ def test_enclosure_precision_is_capped(tower, monkeypatch):
     rng = random.Random(10)
     for _ in range(10):
         a = random_element(rng, tower, 4, 0.8)
-        box, first = a.embed(53), field._eval_box(a._num, a._den, tower, 57)
-        assert (box.re_lo, box.re_hi, box.im_lo, box.im_hi) == (
-            first.re_lo, first.re_hi, first.im_lo, first.im_hi
-        )
+        # accepted at the first precision, 53 + 4 bits
+        box, scale = a.embed(53), a._den << 57
+        first = [Fraction(v, scale) for v in field._linear(a._num, tower._bounds(57))]
+        assert [box.re_lo, box.re_hi, box.im_lo, box.im_hi] == first
     with pytest.raises(EnclosureWidthError):
         tower.sqrt_gen(1).embed(field.MAX_ENCLOSURE_BITS)
-    # A radicand box that never excludes 0: the root box stops at the cap.
+    # A radicand whose bounds never clear 0: the tables stop before its root,
+    # and an element that uses the root fails every precision up to the cap.
     fresh = FieldTower.rationals().adjoin_sqrt(2)
     precs = []
+    exact = FieldTower._bounds
 
-    def straddle(num, den, tw, prec):
+    def recorded(tw, prec):
         precs.append(prec)
-        return field.ComplexInterval(Fraction(-1), Fraction(1), Fraction(0), Fraction(0))
+        return exact(tw, prec)
 
-    monkeypatch.setattr(field, "_eval_box", straddle)
+    monkeypatch.setattr(FieldTower, "_bounds", recorded)
+    monkeypatch.setattr(field, "_linear", lambda num, bounds: [-1, 1, 0, 0])
     with pytest.raises(EnclosureWidthError):
-        fresh._root_box(0, 57)
+        fresh.sqrt_gen(0).embed(53)
     assert precs == [57 << k for k in range(11)]
     assert precs[-1] <= field.MAX_ENCLOSURE_BITS < 2 * precs[-1]
+    assert all(len(fresh._box_cache[p]) == 1 for p in precs)
 
 
 def _sign_towers():

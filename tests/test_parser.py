@@ -25,7 +25,7 @@ from diffrad.errors import (
     UnknownConstantError,
 )
 from diffrad.generators import random_element, random_factored, random_kappa, random_poly
-from diffrad.parser import iter_objects, parse_root_mult
+from diffrad.parser import MAX_POWER_BITS, iter_objects, parse_root_mult
 
 
 def test_poly_round_trip_bulk(tower):
@@ -118,6 +118,26 @@ def test_long_integer_literal_is_a_parse_error(tower):
             parse(src, tower)
         assert err.value.position == pos and "5001 digits" in str(err.value)
     assert parse_poly("1" + "0" * 4000, tower) == Polynomial.constant(tower.rational(10**4000))
+
+
+def test_power_of_a_constant_is_capped_in_bits(tower):
+    # A constant base has degree 0, so only the bit cap stops nested powers.
+    for src, pos in (
+        ("(((2^200)^200)^200)^200*z", 10),
+        ("((2^200)^200)^200*z", 9),
+        ("(1/2^200)^72", 10),
+        ("9" * 4300 + "^2", 4301),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_poly(src, tower)
+        assert err.value.position == pos
+        assert f"powers are capped at {MAX_POWER_BITS}-bit coefficients" in str(err.value)
+    # 201 * 71 bits is under the cap, and so is the largest literal to the first power.
+    assert parse_poly("(2^200)^71", tower) == Polynomial.constant(tower.rational(2**14200))
+    big = 10**4300 - 1
+    assert parse_poly(f"{big}^1", tower) == Polynomial.constant(tower.rational(big))
+    # The densest power the degree cap admits still parses.
+    assert parse_poly("(z+1+i+sqrt(2)+sqrt(3))^200", tower).degree == 200
 
 
 def test_parse_constant_rejects_nonconstant(tower):
@@ -278,6 +298,7 @@ EDGES = [
     "z/0", "1/(z-z)", "z/(1+i)", "(z+1)*(z-1) - z*z", "-(-(-z))", "\u0663 + z", "z\n+\t1",
     "1" + "0" * 5000, "(" * 50 + "z" + ")" * 50, "1;", "1 ; (0, 2), (i, -1)", "z; (0,1)",
     "2; (z, 1)", "0; (1, 1)", "1; (1, 0)", "1; (1, 1),", "1; (1 1)", "(1, 2)",
+    "(2^200)^71", "(2^200)^72", "((2^200)^200)^200*z", "(1/2^200)^71", "(1/2^200)^72",
 ]
 
 
