@@ -1,6 +1,7 @@
-"""Finitely supported zero divisors and disc counting functions.
+"""Disc counting functions of finitely supported zero divisors.
 
-A divisor stores ord_w data for finitely many points w. On top of it sit
+A divisor (poly.Divisor, re-exported here) stores ord_w data for finitely
+many points w; a FactoredPoly holds one for its roots. On top of it sit
 the unintegrated counts n(r), the shift-truncated counts
 
     n_tilde_q(r) = sum over |w| <= r of (ord_w - min_{0<=j<=q} ord_{w+j*kappa}),
@@ -13,8 +14,11 @@ with certified enclosures in integer fixed point: each logarithm is an
 integer pair (lo, hi) at the scale 2**-prec, from the atanh series with
 binary argument reduction (Brent and Zimmermann, Modern Computer
 Arithmetic, 4.4), and the sums over the points are exact.  The min runs
-over the q+1 points w, ..., w+q*kappa: poly.shift_window_excess with an m = q+1 point window,
-and _truncated_weights is the one place that translates q to m.
+over the q+1 points w, ..., w+q*kappa: the weights are poly.window_excess
+with an m = q+1 point window, the kernel that also gives the exponents of
+the root-route difference radical.  _truncated_weights translates q to m
+for a Divisor; check_truncation does the same on the factorial support it
+merges itself, which needs no sorted Divisor.
 
 Every count runs one kernel, a point table (_Table) per call.  The table
 places each distinct point once among the sorted radii by exact
@@ -43,12 +47,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DependentInputsError, NonPositiveMultiplicityError, ZeroSumError
-from .field import FieldElement, FieldTower, compare_real
+from .errors import DependentInputsError, ZeroSumError
+from .field import FieldElement, compare_real
 from .mason import casoratian
 from .poly import (
+    Divisor,
     FactoredPoly,
     Polynomial,
     multi_gcd,
@@ -56,78 +61,16 @@ from .poly import (
     require_shift,
     shift_gcd_factor,
     shift_window_excess,
+    window_excess,
 )
 from .report import CheckReport, Hypothesis, Statement, chain_report
 
 DEFAULT_PRECISION_BITS = 40
 
 
-class Divisor:
-    """Finite map from points to positive multiplicities."""
-
-    __slots__ = ("tower", "_support", "_points")
-
-    def __init__(self, tower: FieldTower, entries: Mapping | Iterable = ()):
-        object.__setattr__(self, "tower", tower)
-        merged: dict[FieldElement, int] = {}
-        pairs = entries.items() if isinstance(entries, Mapping) else entries
-        for point, mult in pairs:
-            point = tower._coerce(point)
-            if not isinstance(mult, int) or mult < 1:
-                raise NonPositiveMultiplicityError(
-                    f"multiplicity must be a positive integer, got {mult!r}"
-                )
-            merged[point] = merged.get(point, 0) + mult
-        object.__setattr__(self, "_support", merged)
-        # Sorted once: every count and integral walks the support in order.
-        object.__setattr__(self, "_points", tuple(sorted(merged, key=lambda e: e.coords)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
-
-    @classmethod
-    def empty(cls, tower: FieldTower) -> "Divisor":
-        return cls(tower)
-
-    def multiplicity(self, point) -> int:
-        return self._support.get(self.tower._coerce(point), 0)
-
-    def support(self) -> tuple[FieldElement, ...]:
-        return self._points
-
-    def items(self):
-        for point in self._points:
-            yield point, self._support[point]
-
-    def total(self) -> int:
-        return sum(self._support.values())
-
-    def translate(self, delta) -> "Divisor":
-        delta = self.tower._coerce(delta)
-        return Divisor(self.tower, [(w + delta, c) for w, c in self._support.items()])
-
-    def __len__(self) -> int:
-        return len(self._support)
-
-    def __bool__(self) -> bool:
-        return bool(self._support)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        return self._support == other._support
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._support.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{w}: {c}" for w, c in self.items())
-        return f"Divisor({{{body}}})"
-
-
 def divisor_of(f: FactoredPoly) -> Divisor:
-    """Zero divisor of a polynomial given in product form."""
-    return Divisor(f.tower, list(f.factors))
+    """Zero divisor of a polynomial given in product form: the one it holds."""
+    return f.divisor
 
 
 def shift_divisor(D: Divisor, kappa) -> Divisor:
@@ -147,23 +90,11 @@ def factorial_divisor(D: Divisor, kappa, n: int) -> Divisor:
 
 
 def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, int]]:
-    """ord_w - min over shifts w, w+kappa, ..., w+q*kappa, per support point."""
+    """ord_w - min over shifts w, w+kappa, ..., w+q*kappa, per support point
+    where it is positive: the m = q + 1 point window of window_excess."""
     kappa = require_shift(D.tower, kappa, "truncated counting")
     require_order(q, 1, "truncation order")
-    return _excess_weights(D._support, kappa, q)
-
-
-def _excess_weights(mult: dict, kappa: FieldElement, q: int) -> list[tuple[FieldElement, int]]:
-    """The nonzero truncated weights of a point -> multiplicity map."""
-    def order(w):
-        return mult.get(w, 0)
-
-    out = []
-    for w in mult:
-        excess = shift_window_excess(order, w, kappa, q + 1)
-        if excess:
-            out.append((w, excess))
-    return out
+    return list(window_excess(D._support, kappa, q + 1).items())
 
 
 @dataclass(frozen=True)
@@ -460,7 +391,7 @@ def check_truncation(
     for copy in copies[:n]:
         for w, c in copy:
             fact[w] = fact.get(w, 0) + c
-    lhs_rows = table.sweep(_excess_weights(fact, kappa, q))
+    lhs_rows = table.sweep(window_excess(fact, kappa, q + 1).items())
     rhs_sweeps = [table.sweep(copy) for copy in copies[:q]]
 
     per_radius = []

@@ -283,15 +283,16 @@ def _reconstruct(tower: FieldTower, residues: list, m: int):
     return out
 
 
-def _lift(tower: FieldTower, branch0, other_branches):
+def _lift(tower: FieldTower, inputs: list, op):
     """The lifting loop shared by `gcd_candidates` and `shift_candidates`.
 
-    branch0(image) gives the monic gcd image (a residue list, ascending)
-    under branch 0, and other_branches(image) those under branches 1 to
-    2**k - 1; either returns None when the prime does not suit the input.
-    Yields the coefficient lists (ascending, monic) that the images support,
-    each to be proved or refuted by exact division; yields [one] only when an
-    image proves the answer constant.  Stops after MAX_PRIMES suitable primes,
+    inputs are coefficient lists of tower elements; op(p, *rows) takes their
+    residue lists (ascending) under one branch and returns the monic image
+    there, or None when the prime does not suit the input.  A prime is also
+    skipped when it divides a coefficient denominator.  Yields the
+    coefficient lists (ascending, monic) that the images support, each to be
+    proved or refuted by exact division; yields [one] only when an image
+    proves the answer constant.  Stops after MAX_PRIMES suitable primes,
     leaving the rest to the exact fallback.
 
     Branch 0 runs first, so a constant there costs one branch.  Images whose
@@ -302,7 +303,8 @@ def _lift(tower: FieldTower, branch0, other_branches):
     acc = m = None
     for image in images(tower):
         p = image.p
-        g0 = branch0(image)
+        rows0 = [_branch0(c, image) for c in inputs]
+        g0 = None if None in rows0 else op(p, *rows0)
         if g0 is None:
             continue
         if len(g0) == 1:
@@ -310,8 +312,8 @@ def _lift(tower: FieldTower, branch0, other_branches):
             return
         if best is not None and len(g0) > best:
             continue
-        rest = other_branches(image)
-        if rest is None:
+        rest = [op(p, *rows) for rows in zip(*[_all_branches(c, image)[1:] for c in inputs])]
+        if None in rest:
             continue
         branches = [g0] + rest
         sizes = {len(g) for g in branches}
@@ -341,41 +343,24 @@ def _lift(tower: FieldTower, branch0, other_branches):
 def gcd_candidates(a: list, b: list, tower: FieldTower):
     """Candidates (see `_lift`) for the monic gcd of two coefficient lists of degree >= 1.
 
-    A prime is skipped when it divides a coefficient denominator or an
-    input's leading coefficient vanishes under a branch.
+    A prime is skipped when an input's leading coefficient vanishes under a
+    branch.
     """
 
-    def branch0(image: Image):
-        fa, fb = _branch0(a, image), _branch0(b, image)
-        if fa is None or fb is None or not fa[-1] or not fb[-1]:
-            return None
-        return gcd_mod(fa, fb, image.p)
+    def op(p: int, fa: list, fb: list):
+        return gcd_mod(fa, fb, p) if fa[-1] and fb[-1] else None
 
-    def other_branches(image: Image):
-        rows_a, rows_b = _all_branches(a, image)[1:], _all_branches(b, image)[1:]
-        if not all(row[-1] for row in rows_a) or not all(row[-1] for row in rows_b):
-            return None
-        return [gcd_mod(x, y, image.p) for x, y in zip(rows_a, rows_b)]
-
-    return _lift(tower, branch0, other_branches)
+    return _lift(tower, [a, b], op)
 
 
 def shift_candidates(f: list, kappa, m: int, tower: FieldTower):
     """Candidates (see `_lift`) for the monic gcd of f(z), f(z+kappa), ..., f(z+(m-1)kappa).
 
     f is a monic coefficient list of degree >= 1; a shift keeps it monic
-    under every branch.  A prime is skipped when it divides a denominator of
-    f or of kappa.
+    under every branch.
     """
 
-    def branch0(image: Image):
-        f0, k0 = _branch0(f, image), _branch0([kappa], image)
-        if f0 is None or k0 is None:
-            return None
-        return _shift_chain(f0, k0[0], m, image.p)
+    def op(p: int, row: list, k: list):
+        return _shift_chain(row, k[0], m, p)
 
-    def other_branches(image: Image):
-        rows, ks = _all_branches(f, image)[1:], _all_branches([kappa], image)[1:]
-        return [_shift_chain(row, k[0], m, image.p) for row, k in zip(rows, ks)]
-
-    return _lift(tower, branch0, other_branches)
+    return _lift(tower, [f, [kappa]], op)

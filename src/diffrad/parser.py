@@ -18,6 +18,9 @@ in under a second, and a larger one raises ParseError instead of
 running for minutes.  A constant base has degree 0, so the exponent times
 the bits of the base's largest numerator or denominator is capped too, at
 MAX_POWER_BITS: the size of the longest integer literal the parser reads.
+No parsed coefficient may pass that literal, 10**MAX_DIGITS - 1, or it could
+not be printed: a finished parse is checked, and so are the end
+coefficients of a power of a non-constant base, before it is multiplied out.
 
 Division requires a nonzero constant divisor, so `3/4` is the rational
 three-quarters and `i/2` is half of i.  `sqrt` takes anything evaluating to a
@@ -47,9 +50,12 @@ from .poly import FactoredPoly, Polynomial
 
 # Largest exponent, and largest degree of a power, that the parser accepts.
 MAX_POWER = 200
-# Largest exponent times coefficient bits of a power's base: the bits of the
-# largest 4300-digit literal, Python's int/str limit that `_nat` enforces.
-MAX_POWER_BITS = 14285
+# Python's int/str digit limit, which `_nat` enforces on literals.  No parsed
+# coefficient may pass the largest literal, and its bits (14285) cap the
+# exponent times the coefficient bits of a power's base.
+MAX_DIGITS = 4300
+_MAX_LITERAL = 10**MAX_DIGITS - 1
+MAX_POWER_BITS = _MAX_LITERAL.bit_length()
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -73,6 +79,16 @@ def _nat(text: str, pos: int) -> int:
 def _height(value: dict) -> int:
     """Bits of the largest numerator or denominator among the coefficients."""
     return max((max(max(map(abs, c._num)), c._den).bit_length() for c in value.values()), default=0)
+
+
+def _check_printable(values: Iterable[FieldElement], pos: int | None = None) -> None:
+    """ParseError unless each coordinate, reduced as the printer reduces it,
+    has numerator and denominator within the largest literal."""
+    for x in values:
+        for n in x._num:
+            top = max(abs(n), x._den)
+            if top > _MAX_LITERAL and top // gcd(n, x._den) > _MAX_LITERAL:
+                raise ParseError(f"coefficients are capped at {MAX_DIGITS} digits", pos)
 
 
 def _tokenize(src: str):
@@ -201,6 +217,8 @@ class _Parser:
             )
         if _height(base) * n > MAX_POWER_BITS:
             raise ParseError(f"powers are capped at {MAX_POWER_BITS}-bit coefficients", npos)
+        if len(base) > 1:  # the power's end coefficients, before multiplying out
+            _check_printable((base[min(base)] ** n, base[max(base)] ** n), npos)
         out = {0: self.tower.one}
         for _ in range(n):
             out = _mul(out, base)
@@ -285,8 +303,9 @@ class _Parser:
         return FactoredPoly(lead, entries)
 
 
-def _parse_all(src: str, tower: FieldTower, rule):
-    """Apply one grammar rule to the whole of src.
+def _parse_all(src: str, tower: FieldTower, rule, values):
+    """Apply one grammar rule to the whole of src; values(result) lists the
+    coefficients that _check_printable then checks.
 
     Each nesting level ('(', sqrt or a unary minus) recurses, so input
     nested past the interpreter's recursion limit is refused as a
@@ -300,12 +319,13 @@ def _parse_all(src: str, tower: FieldTower, rule):
     kind, text, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {text!r}", pos)
+    _check_printable(values(out))
     return out
 
 
 def parse_poly(src: str, tower: FieldTower) -> Polynomial:
     """Parse an expression into a polynomial over the tower."""
-    value = _parse_all(src, tower, _Parser.expr)
+    value = _parse_all(src, tower, _Parser.expr, dict.values)
     zero = tower.zero
     return Polynomial(tower, [value.get(k, zero) for k in range(max(value, default=-1) + 1)])
 
@@ -320,12 +340,12 @@ def parse_constant(src: str, tower: FieldTower) -> FieldElement:
 
 def parse_factored(src: str, tower: FieldTower) -> FactoredPoly:
     """Parse `gamma ; (root, mult), (root, mult), ...` into factored form."""
-    return _parse_all(src, tower, _Parser.factored)
+    return _parse_all(src, tower, _Parser.factored, lambda f: (f.leading, *f.roots()))
 
 
 def parse_root_mult(src: str, tower: FieldTower) -> tuple[FieldElement, int]:
     """Parse a single `(root, mult)` entry (divisor file lines)."""
-    return _parse_all(src, tower, _Parser.root_mult)
+    return _parse_all(src, tower, _Parser.root_mult, lambda entry: entry[:1])
 
 
 def iter_objects(lines: Iterable[str]):

@@ -1,9 +1,15 @@
-"""Dense exact univariate polynomials over a quadratic tower field."""
+"""Exact univariate polynomials over a quadratic tower field, dense and factored.
+
+Divisor is the package's one point -> multiplicity map: a FactoredPoly is a
+leading coefficient and the Divisor of its roots, and window_excess, the
+excess ord_w - min_{0<=j<m} ord_{w+j*kappa} of each point over its shift
+window, serves the root-route radical and the truncated counts alike.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import modular
 from .errors import (
@@ -456,49 +462,116 @@ def shift_window_excess(order: Callable[[FieldElement], int], w, kappa, m: int) 
     return base - low
 
 
-class FactoredPoly:
-    """gamma * prod (z - w_j)^{m_j} with distinct roots, kept canonical.
+class Divisor:
+    """Finite map from points to positive multiplicities."""
 
-    Duplicate roots merge on construction and factors sort by root
-    coordinates, so equal products compare equal.
+    __slots__ = ("tower", "_support", "_points")
+
+    def __init__(self, tower: FieldTower, entries: Mapping | Iterable = ()):
+        object.__setattr__(self, "tower", tower)
+        merged: dict[FieldElement, int] = {}
+        pairs = entries.items() if isinstance(entries, Mapping) else entries
+        for point, mult in pairs:
+            point = tower._coerce(point)
+            if not isinstance(mult, int) or mult < 1:
+                raise NonPositiveMultiplicityError(
+                    f"multiplicity must be a positive integer, got {mult!r}"
+                )
+            merged[point] = merged.get(point, 0) + mult
+        object.__setattr__(self, "_support", merged)
+        # Sorted once: every count and integral walks the support in order.
+        object.__setattr__(self, "_points", tuple(sorted(merged, key=lambda e: e.coords)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Divisor is immutable")
+
+    @classmethod
+    def empty(cls, tower: FieldTower) -> "Divisor":
+        return cls(tower)
+
+    def multiplicity(self, point) -> int:
+        return self._support.get(self.tower._coerce(point), 0)
+
+    def support(self) -> tuple[FieldElement, ...]:
+        return self._points
+
+    def items(self):
+        for point in self._points:
+            yield point, self._support[point]
+
+    def total(self) -> int:
+        return sum(self._support.values())
+
+    def translate(self, delta) -> "Divisor":
+        delta = self.tower._coerce(delta)
+        return Divisor(self.tower, [(w + delta, c) for w, c in self._support.items()])
+
+    def __len__(self) -> int:
+        return len(self._support)
+
+    def __bool__(self) -> bool:
+        return bool(self._support)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Divisor):
+            return NotImplemented
+        return self._support == other._support
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._support.items()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{w}: {c}" for w, c in self.items())
+        return f"Divisor({{{body}}})"
+
+
+def window_excess(mult: Mapping[FieldElement, int], kappa: FieldElement, m: int) -> dict:
+    """w -> ord_w - min_{0<=j<m} ord_{w+j*kappa} over a point -> multiplicity
+    map, for each of its points w where that is positive: the exponents of the
+    root-route difference radical and the weights of n_tilde_q (m = q + 1)."""
+    def order(w) -> int:
+        return mult.get(w, 0)
+
+    excess = {w: shift_window_excess(order, w, kappa, m) for w in mult}
+    return {w: e for w, e in excess.items() if e}
+
+
+class FactoredPoly:
+    """gamma * prod (z - w_j)^{m_j}: a nonzero leading coefficient and the
+    Divisor of the roots.
+
+    The divisor merges duplicate roots and sorts them by coordinates, so
+    equal products compare equal; factors, ord_at, roots and degree read it.
     """
 
-    __slots__ = ("leading", "factors")
+    __slots__ = ("leading", "divisor")
 
     def __init__(self, leading: FieldElement, factors: Iterable[tuple] = ()):
         if not isinstance(leading, FieldElement):
             raise TypeError("leading coefficient must be a field element")
         if leading.is_zero():
             raise ZeroLeadingError("factored polynomial with zero leading coefficient")
-        tower = leading.tower
-        merged: dict = {}
-        for root, mult in factors:
-            if not isinstance(mult, int) or mult < 1:
-                raise NonPositiveMultiplicityError(
-                    f"root multiplicity must be a positive integer, got {mult!r}"
-                )
-            root = tower._coerce(root)
-            merged[root] = merged.get(root, 0) + mult
         self.leading = leading
-        self.factors = tuple(sorted(merged.items(), key=lambda rm: rm[0].coords))
+        self.divisor = Divisor(leading.tower, factors)
 
     @property
     def tower(self) -> FieldTower:
         return self.leading.tower
 
     @property
+    def factors(self) -> tuple:
+        """(root, multiplicity) pairs, roots sorted by coordinates."""
+        return tuple(self.divisor.items())
+
+    @property
     def degree(self) -> int:
-        return sum(m for _, m in self.factors)
+        return self.divisor.total()
 
     def ord_at(self, w: CoeffLike) -> int:
-        w = self.tower._coerce(w)
-        for root, mult in self.factors:
-            if root == w:
-                return mult
-        return 0
+        return self.divisor.multiplicity(w)
 
     def roots(self) -> tuple:
-        return tuple(root for root, _ in self.factors)
+        return self.divisor.support()
 
     def expand(self) -> Polynomial:
         """The dense product, multiplied out one (z - root) at a time on integers.
@@ -550,10 +623,10 @@ class FactoredPoly:
     def __eq__(self, other):
         if not isinstance(other, FactoredPoly):
             return NotImplemented
-        return self.leading == other.leading and self.factors == other.factors
+        return self.leading == other.leading and self.divisor == other.divisor
 
     def __hash__(self):
-        return hash((self.leading, self.factors))
+        return hash((self.leading, self.divisor))
 
     def __repr__(self):
         from .parser import print_factored

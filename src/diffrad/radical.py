@@ -19,7 +19,7 @@ from .poly import (
     gcd,
     require_order,
     require_shift,
-    shift_window_excess,
+    window_excess,
 )
 
 
@@ -77,27 +77,16 @@ def classical_radical(p: Polynomial) -> RadicalResult:
     return RadicalResult(radical, cofactor, int(radical.degree), p.lead)
 
 
-def _chain_exponents(f: FactoredPoly, kappa, m: int) -> dict:
-    """root -> ord_w - min over the m-point window, from root data alone."""
-    orders = dict(f.factors)
-
-    def order(point) -> int:
-        return orders.get(point, 0)
-
-    return {root: shift_window_excess(order, root, kappa, m) for root, _ in f.factors}
-
-
 def diff_radical_from_roots(f: FactoredPoly, kappa, m: int = 2) -> RadicalResult:
     """Root-route oracle for diff_radical_m on factored input."""
     kappa = require_shift(f.tower, kappa, "difference radical")
     require_order(m, 2, "radical order")
-    exponents = _chain_exponents(f, kappa, m)
+    exponents = window_excess(f.divisor._support, kappa, m)
     one = f.tower.one
-    radical_factors = [(r, e) for r, e in exponents.items() if e > 0]
     cofactor_factors = [
-        (r, mult - exponents[r]) for r, mult in f.factors if mult - exponents[r] > 0
+        (r, mult - exponents.get(r, 0)) for r, mult in f.factors if mult > exponents.get(r, 0)
     ]
-    radical = FactoredPoly(one, radical_factors).expand()
+    radical = FactoredPoly(one, exponents.items()).expand()
     cofactor = FactoredPoly(one, cofactor_factors).expand()
     return RadicalResult(
         radical=radical,
@@ -115,8 +104,7 @@ def n_tilde_sum_bound(f: FactoredPoly, kappa, m: int) -> tuple[int, int]:
     """
     kappa = require_shift(f.tower, kappa, "difference radical")
     require_order(m, 2, "order")
-    lhs = sum(_chain_exponents(f, kappa, m).values())
-    rhs = 0
-    for j in range(1, m):
-        rhs += sum(_chain_exponents(f, kappa * j, 2).values())
+    orders = f.divisor._support
+    lhs = sum(window_excess(orders, kappa, m).values())
+    rhs = sum(sum(window_excess(orders, kappa * j, 2).values()) for j in range(1, m))
     return lhs, rhs

@@ -14,7 +14,7 @@ from math import lcm
 
 from diffrad import FactoredPoly, Polynomial, field
 from diffrad.errors import NegativeExponentError, ParseError, UnknownConstantError
-from diffrad.parser import MAX_POWER, MAX_POWER_BITS
+from diffrad.parser import MAX_DIGITS, MAX_POWER, MAX_POWER_BITS
 
 
 def _box_sign(x, part):
@@ -201,6 +201,16 @@ def _height(coeffs):
     return bits
 
 
+def _check_printable(values, pos=None):
+    """ParseError when a coordinate, as a reduced Fraction, has a numerator
+    or denominator of more than MAX_DIGITS digits."""
+    largest = 10**MAX_DIGITS - 1
+    for c in values:
+        for q in c.coords:
+            if max(abs(q.numerator), q.denominator) > largest:
+                raise ParseError(f"coefficients are capped at {MAX_DIGITS} digits", pos)
+
+
 def tokenize(src):
     """Tokens one anchored match at a time, failing at the first stray character."""
     tokens = []
@@ -294,6 +304,15 @@ class _DenseParser:
             raise ParseError(f"powers are capped at exponent and degree {MAX_POWER}", npos)
         if _height(base) * n > MAX_POWER_BITS:
             raise ParseError(f"powers are capped at {MAX_POWER_BITS}-bit coefficients", npos)
+        ends = [c for c in base if c]
+        if len(ends) > 1:
+            powers = []
+            for c in (ends[0], ends[-1]):
+                acc = self.tower.one
+                for _ in range(n):
+                    acc = acc * c
+                powers.append(acc)
+            _check_printable(powers, npos)
         out = [self.tower.one]
         for _ in range(n):
             out = mul(self.tower, out, base)
@@ -390,10 +409,14 @@ class _DenseParser:
 def parse_poly(src, tower) -> Polynomial:
     """Reference for `diffrad.parse_poly`."""
     p = _DenseParser(src, tower)
-    return Polynomial(tower, p.whole(p.expr))
+    coeffs = p.whole(p.expr)
+    _check_printable(coeffs)
+    return Polynomial(tower, coeffs)
 
 
 def parse_factored(src, tower) -> FactoredPoly:
     """Reference for `diffrad.parse_factored`."""
     p = _DenseParser(src, tower)
-    return p.whole(p.factored)
+    f = p.whole(p.factored)
+    _check_printable([f.leading, *f.roots()])
+    return f

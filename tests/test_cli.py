@@ -446,6 +446,18 @@ def test_power_bit_cap_is_a_parse_error(capsys, expr):
     assert err.startswith("diffrad: powers are capped at 14285-bit coefficients")
 
 
+@pytest.mark.parametrize(
+    "expr", ["(2^70)^200*(2^70)^200*z", "(2^70*(z+1+i+sqrt(2)+sqrt(3)))^200"]
+)
+def test_unprintable_coefficient_is_a_parse_error(capsys, expr):
+    start = time.monotonic()
+    assert main(["radical", expr]) == 3
+    assert time.monotonic() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("diffrad: coefficients are capped at 4300 digits")
+
+
 @pytest.mark.parametrize("expr", ["z^20000", "2^100000000", "(z^2)^101"])
 def test_power_cap_is_a_parse_error(capsys, expr):
     assert main(["radical", expr]) == 3

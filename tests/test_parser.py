@@ -25,7 +25,7 @@ from diffrad.errors import (
     UnknownConstantError,
 )
 from diffrad.generators import random_element, random_factored, random_kappa, random_poly
-from diffrad.parser import MAX_POWER_BITS, iter_objects, parse_root_mult
+from diffrad.parser import MAX_DIGITS, MAX_POWER_BITS, iter_objects, parse_root_mult
 
 
 def test_poly_round_trip_bulk(tower):
@@ -138,6 +138,35 @@ def test_power_of_a_constant_is_capped_in_bits(tower):
     assert parse_poly(f"{big}^1", tower) == Polynomial.constant(tower.rational(big))
     # The densest power the degree cap admits still parses.
     assert parse_poly("(z+1+i+sqrt(2)+sqrt(3))^200", tower).degree == 200
+
+
+def test_parsed_coefficients_are_capped_in_digits(tower):
+    # Values the power cap lets through but the printer could not write out.
+    for parse, src, pos in (
+        (parse_poly, "(2^70)^200*(2^70)^200*z", None),
+        (parse_poly, "(10^200)^21*10^100", None),  # 14285 bits, 4301 digits
+        (parse_poly, "z/((2^70)^200*2^200*2^85)", None),
+        (parse_factored, "1; ((2^70)^200*(2^70)^200, 1)", None),
+        (parse_factored, "(2^70)^200*(2^70)^200; (1, 1)", None),
+        (parse_root_mult, "(1/((2^70)^200*(2^70)^200), 2)", None),
+        # A non-constant base: its end coefficient (2^70*(1+i+...))^200 passes.
+        (parse_poly, "(2^70*(z+1+i+sqrt(2)+sqrt(3)))^200", 31),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(src, tower)
+        assert err.value.position == pos
+        assert str(err.value).startswith(f"coefficients are capped at {MAX_DIGITS} digits")
+    # At the cap: 2^14284 (14285 bits) and the largest literal, above and below z.
+    assert parse_poly("(2^70)^200*2^200*2^84*z", tower).lead == tower.rational(2**14284)
+    big = 10**MAX_DIGITS - 1
+    assert parse_poly(f"z/{big}", tower).lead == tower.rational(Fraction(1, big))
+    assert parse_poly("(10^200)^21*10^99", tower) == Polynomial.constant(tower.rational(10**4299))
+    # Over the common denominator 2^14000, the sqrt(2) coordinate reads
+    # 2^14300 / 2^14000; the printer reduces it to 2^300.
+    x = parse_poly("1/(2^70)^200 + 2^200*2^100*sqrt(2)", tower).lead
+    assert x.coords[:3] == (Fraction(1, 2**14000), 0, 2**300)
+    # A power whose end coefficients fit is multiplied out.
+    assert parse_poly("(2^70*(z+1))^2", tower).coeffs[1] == tower.rational(2**141)
 
 
 def test_parse_constant_rejects_nonconstant(tower):
@@ -299,6 +328,10 @@ EDGES = [
     "1" + "0" * 5000, "(" * 50 + "z" + ")" * 50, "1;", "1 ; (0, 2), (i, -1)", "z; (0,1)",
     "2; (z, 1)", "0; (1, 1)", "1; (1, 0)", "1; (1, 1),", "1; (1 1)", "(1, 2)",
     "(2^200)^71", "(2^200)^72", "((2^200)^200)^200*z", "(1/2^200)^71", "(1/2^200)^72",
+    "(2^70)^200*(2^70)^200*z", "(2^70)^200*2^200*2^84*z", "z/((2^70)^200*2^200*2^85)",
+    "(10^200)^21*10^99", "(10^200)^21*10^100", "(2^70*(z+1+i+sqrt(2)+sqrt(3)))^200",
+    "1; ((2^70)^200*(2^70)^200, 1)", "(2^70)^200*2^200*2^84; (1, 1)",
+    "1/(2^70)^200 + 2^200*2^100*sqrt(2)", "1/(2^70)^200 + 2^200*2^86*sqrt(2)*(2^70)^200",
 ]
 
 

@@ -8,7 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 import diffrad
 import naive_poly
-from diffrad import FactoredPoly, FieldTower, Polynomial, gcd, modular, multi_gcd, shift_gcd_factor
+from diffrad import (
+    Divisor,
+    FactoredPoly,
+    FieldTower,
+    Polynomial,
+    divisor_of,
+    gcd,
+    modular,
+    multi_gcd,
+    shift_gcd_factor,
+)
 from diffrad.errors import (
     NonPositiveMultiplicityError,
     NotDivisibleError,
@@ -17,8 +27,15 @@ from diffrad.errors import (
     ZeroShiftError,
 )
 from diffrad.field import muladd
-from diffrad.generators import random_element, random_factored, random_kappa, random_poly
-from diffrad.poly import shift_window_excess
+from diffrad.divisor import _truncated_weights
+from diffrad.generators import (
+    random_divisor,
+    random_element,
+    random_factored,
+    random_kappa,
+    random_poly,
+)
+from diffrad.poly import shift_window_excess, window_excess
 
 
 def _rand_pair(rng, tower):
@@ -146,6 +163,55 @@ def test_factored_merges_duplicate_roots(tower):
     assert f.degree == 4
     g = FactoredPoly(tower.one, [(0, 1), (1, 3)])
     assert f == g and hash(f) == hash(g)
+
+
+def test_factored_holds_one_divisor(any_tower):
+    t = any_tower
+    rng = random.Random(40)
+    for _ in range(30):
+        f = random_factored(rng, t, random_kappa(rng, t))
+        assert divisor_of(f) is f.divisor
+        assert f.divisor == Divisor(t, f.factors)
+        assert f.roots() == f.divisor.support() and f.degree == f.divisor.total()
+        assert all(f.ord_at(w) == f.divisor.multiplicity(w) for w in f.roots())
+
+
+def test_factored_equality_is_leading_plus_divisor(any_tower):
+    t = any_tower
+    a, b, c = t.sqrt_gen(t.depth - 1), t.rational(Fraction(1, 2)), t.zero
+    f = FactoredPoly(t.rational(2), [(a, 1), (b, 2), (c, 1)])
+    # Entry order and splitting of multiplicities are not part of the value.
+    same = FactoredPoly(t.rational(2), [(c, 1), (b, 1), (a, 1), (b, 1)])
+    assert f == same and hash(f) == hash(same)
+    assert hash(f) == hash((f.leading, f.divisor))
+    assert f != FactoredPoly(t.rational(-2), f.factors)
+    assert f != FactoredPoly(t.rational(2), [(a, 1), (b, 2)])
+    assert f != FactoredPoly(t.rational(2), [(a, 2), (b, 1), (c, 1)])
+    assert len({f, same, FactoredPoly(t.rational(2), f.divisor.items())}) == 1
+
+
+def _brute_excess(mult: dict, kappa, m: int) -> dict:
+    """ord_w - min over the whole window j = 0..m-1, by listing the window."""
+    out = {}
+    for w, c in mult.items():
+        excess = c - min(mult.get(w + kappa * j, 0) for j in range(m))
+        if excess:
+            out[w] = excess
+    return out
+
+
+def test_window_excess_matches_the_window_minimum(any_tower):
+    t = any_tower
+    rng = random.Random(41)
+    for _ in range(40):
+        kappa = random_kappa(rng, t)
+        D = random_divisor(rng, t, kappa, max_points=6)
+        mult = dict(D.items())
+        for m in (2, 3, 4):
+            assert window_excess(mult, kappa, m) == _brute_excess(mult, kappa, m)
+        # n_tilde_q takes the q + 1 points w, ..., w + q*kappa.
+        for q in (1, 2, 3):
+            assert dict(_truncated_weights(D, kappa, q)) == _brute_excess(mult, kappa, q + 1)
 
 
 def test_factored_rejects_bad_input(tower):
