@@ -94,7 +94,7 @@ def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, in
     where it is positive: the m = q + 1 point window of window_excess."""
     kappa = require_shift(D.tower, kappa, "truncated counting")
     require_order(q, 1, "truncation order")
-    return list(window_excess(D._support, kappa, q + 1).items())
+    return window_excess(D._support, kappa, q + 1)
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,7 @@ def check_truncation(
     for copy in copies[:n]:
         for w, c in copy:
             fact[w] = fact.get(w, 0) + c
-    lhs_rows = table.sweep(window_excess(fact, kappa, q + 1).items())
+    lhs_rows = table.sweep(window_excess(fact, kappa, q + 1))
     rhs_sweeps = [table.sweep(copy) for copy in copies[:q]]
 
     per_radius = []

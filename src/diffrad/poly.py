@@ -465,7 +465,7 @@ def shift_window_excess(order: Callable[[FieldElement], int], w, kappa, m: int) 
 class Divisor:
     """Finite map from points to positive multiplicities."""
 
-    __slots__ = ("tower", "_support", "_points")
+    __slots__ = ("tower", "_support", "_items")
 
     def __init__(self, tower: FieldTower, entries: Mapping | Iterable = ()):
         object.__setattr__(self, "tower", tower)
@@ -479,8 +479,10 @@ class Divisor:
                 )
             merged[point] = merged.get(point, 0) + mult
         object.__setattr__(self, "_support", merged)
-        # Sorted once: every count and integral walks the support in order.
-        object.__setattr__(self, "_points", tuple(sorted(merged, key=lambda e: e.coords)))
+        # Sorted once, as pairs: every count, integral and expansion walks the
+        # support in order with no lookup per point.
+        items = tuple(sorted(merged.items(), key=lambda pc: pc[0].coords))
+        object.__setattr__(self, "_items", items)
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -493,11 +495,10 @@ class Divisor:
         return self._support.get(self.tower._coerce(point), 0)
 
     def support(self) -> tuple[FieldElement, ...]:
-        return self._points
+        return tuple([point for point, _ in self._items])
 
     def items(self):
-        for point in self._points:
-            yield point, self._support[point]
+        return iter(self._items)
 
     def total(self) -> int:
         return sum(self._support.values())
@@ -525,15 +526,15 @@ class Divisor:
         return f"Divisor({{{body}}})"
 
 
-def window_excess(mult: Mapping[FieldElement, int], kappa: FieldElement, m: int) -> dict:
-    """w -> ord_w - min_{0<=j<m} ord_{w+j*kappa} over a point -> multiplicity
+def window_excess(mult: Mapping[FieldElement, int], kappa: FieldElement, m: int) -> list:
+    """(w, ord_w - min_{0<=j<m} ord_{w+j*kappa}) over a point -> multiplicity
     map, for each of its points w where that is positive: the exponents of the
     root-route difference radical and the weights of n_tilde_q (m = q + 1)."""
     def order(w) -> int:
         return mult.get(w, 0)
 
-    excess = {w: shift_window_excess(order, w, kappa, m) for w in mult}
-    return {w: e for w, e in excess.items() if e}
+    excess = [(w, shift_window_excess(order, w, kappa, m)) for w in mult]
+    return [(w, e) for w, e in excess if e]
 
 
 class FactoredPoly:

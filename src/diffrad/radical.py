@@ -81,12 +81,13 @@ def diff_radical_from_roots(f: FactoredPoly, kappa, m: int = 2) -> RadicalResult
     """Root-route oracle for diff_radical_m on factored input."""
     kappa = require_shift(f.tower, kappa, "difference radical")
     require_order(m, 2, "radical order")
-    exponents = window_excess(f.divisor._support, kappa, m)
+    radical_factors = window_excess(f.divisor._support, kappa, m)
+    exponents = dict(radical_factors)
     one = f.tower.one
     cofactor_factors = [
         (r, mult - exponents.get(r, 0)) for r, mult in f.factors if mult > exponents.get(r, 0)
     ]
-    radical = FactoredPoly(one, exponents.items()).expand()
+    radical = FactoredPoly(one, radical_factors).expand()
     cofactor = FactoredPoly(one, cofactor_factors).expand()
     return RadicalResult(
         radical=radical,
@@ -105,6 +106,6 @@ def n_tilde_sum_bound(f: FactoredPoly, kappa, m: int) -> tuple[int, int]:
     kappa = require_shift(f.tower, kappa, "difference radical")
     require_order(m, 2, "order")
     orders = f.divisor._support
-    lhs = sum(window_excess(orders, kappa, m).values())
-    rhs = sum(sum(window_excess(orders, kappa * j, 2).values()) for j in range(1, m))
+    lhs = sum(e for _, e in window_excess(orders, kappa, m))
+    rhs = sum(e for j in range(1, m) for _, e in window_excess(orders, kappa * j, 2))
     return lhs, rhs

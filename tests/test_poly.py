@@ -208,7 +208,7 @@ def test_window_excess_matches_the_window_minimum(any_tower):
         D = random_divisor(rng, t, kappa, max_points=6)
         mult = dict(D.items())
         for m in (2, 3, 4):
-            assert window_excess(mult, kappa, m) == _brute_excess(mult, kappa, m)
+            assert dict(window_excess(mult, kappa, m)) == _brute_excess(mult, kappa, m)
         # n_tilde_q takes the q + 1 points w, ..., w + q*kappa.
         for q in (1, 2, 3):
             assert dict(_truncated_weights(D, kappa, q)) == _brute_excess(mult, kappa, q + 1)
