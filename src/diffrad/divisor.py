@@ -14,11 +14,9 @@ with certified enclosures in integer fixed point: each logarithm is an
 integer pair (lo, hi) at the scale 2**-prec, from the atanh series with
 binary argument reduction (Brent and Zimmermann, Modern Computer
 Arithmetic, 4.4), and the sums over the points are exact.  The min runs
-over the q+1 points w, ..., w+q*kappa: the weights are poly.window_excess
-with an m = q+1 point window, the kernel that also gives the exponents of
-the root-route difference radical.  _truncated_weights translates q to m
-for a Divisor; check_truncation does the same on the factorial support it
-merges itself, which needs no sorted Divisor.
+over the q+1 points w, ..., w+q*kappa: poly.window_excess, the kernel of
+the root-route radical too, with m = q+1, in _truncated_weights and, on the
+factorial support it merges without sorting, in check_truncation.
 
 Every count runs one kernel, a point table (_Table) per call.  The table
 places each distinct point once among the sorted radii by exact

@@ -479,8 +479,7 @@ class Divisor:
                 )
             merged[point] = merged.get(point, 0) + mult
         object.__setattr__(self, "_support", merged)
-        # Sorted once, as pairs: every count, integral and expansion walks the
-        # support in order with no lookup per point.
+        # Sorted once, as pairs: counts, integrals and expansions walk them in order.
         items = tuple(sorted(merged.items(), key=lambda pc: pc[0].coords))
         object.__setattr__(self, "_items", items)
 
