@@ -14,24 +14,25 @@ with certified enclosures in integer fixed point: each logarithm is an
 integer pair (lo, hi) at the scale 2**-prec, from the atanh series with
 binary argument reduction (Brent and Zimmermann, Modern Computer
 Arithmetic, 4.4), and the sums over the points are exact.  The min runs
-over the q+1 points w, ..., w+q*kappa: poly.window_excess, the kernel of
-the root-route radical too, with m = q+1, in _truncated_weights and, on the
-factorial support it merges without sorting, in check_truncation.
+over the q+1 points w, ..., w+q*kappa: Divisor.window_excess, the kernel of
+the root-route radical too, with m = q+1 in _truncated_weights.
 
 Every count runs one kernel, a point table (_Table) per call.  The table
-places each distinct point once among the sorted radii by exact
-comparisons and encloses each distinct log|w|^2 once.  A sweep is a
-weighted prefix sum over the table: one weight list gives per-radius
-masses and log sums, and so n(r) and N(r) at every radius.  No floating
-point enters before its last step, which rounds the enclosure of each
-radius to a value and an error bound.
+is the one home of the radii: it converts them to Fractions, deduplicates
+and sorts them, and rejects an empty list or a negative radius.  It places
+each distinct point once among them by exact comparisons and encloses each
+distinct log|w|^2 once.  A sweep is a weighted prefix sum over the table:
+one weight list gives per-radius masses and log sums, and so n(r) and N(r)
+at every radius.  No floating point enters before its last step, which
+rounds the enclosure of each radius to a value and an error bound.
 
 check_truncation verifies, radius by radius, that truncated counting of an
-order-n factorial power is dominated by q plain counts of shifted copies.
-Its 1+q sweeps read one table: the factorial divisor's support
-{w - i*kappa : i < n} and the shifted supports {w - i*kappa : i < q} share
-their points.  counting_table (the CLI table) is one plain and one
-truncated sweep over one table, without the comparison.
+order-n factorial power is dominated by the plain count of the order-q one,
+which is the sum of q plain counts of shifted copies.  Its two sweeps read
+one table: the supports {w - i*kappa : i < n} and {w - i*kappa : i < q} of
+the two factorial divisors share their points.  counting_table (the CLI
+table) is one plain and one truncated sweep over one table, without the
+comparison.
 check_ord_inequality verifies the per-point order inequality for
 G = g_1 ... g_{m+1} / C at every enumerable candidate point, and certifies
 the non-enumerable points (roots of the dense sum only) by exhibiting the
@@ -55,11 +56,11 @@ from .poly import (
     FactoredPoly,
     Polynomial,
     multi_gcd,
+    point_key,
     require_order,
     require_shift,
     shift_gcd_factor,
     shift_window_excess,
-    window_excess,
 )
 from .report import CheckReport, Hypothesis, Statement, chain_report
 
@@ -77,22 +78,24 @@ def shift_divisor(D: Divisor, kappa) -> Divisor:
 
 
 def factorial_divisor(D: Divisor, kappa, n: int) -> Divisor:
-    """Divisor of the order-n factorial power built from D's function."""
+    """Divisor of the order-n factorial power built from D's function: D's
+    points, then each copy moved by -kappa from the one before."""
     kappa = require_shift(D.tower, kappa, "factorial divisor")
     require_order(n, 1, "factorial order")
-    entries = []
-    for i in range(n):
-        step = kappa * i
-        entries.extend((w - step, c) for w, c in D.items())
+    shifted = list(D.items())
+    entries = list(shifted)
+    for _ in range(1, n):
+        shifted = [(w - kappa, c) for w, c in shifted]
+        entries += shifted
     return Divisor(D.tower, entries)
 
 
 def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, int]]:
     """ord_w - min over shifts w, w+kappa, ..., w+q*kappa, per support point
-    where it is positive: the m = q + 1 point window of window_excess."""
+    where it is positive: the m = q + 1 point window of Divisor.window_excess."""
     kappa = require_shift(D.tower, kappa, "truncated counting")
     require_order(q, 1, "truncation order")
-    return window_excess(D._support, kappa, q + 1)
+    return D.window_excess(kappa, q + 1)
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,11 @@ MAX_PRECISION_BITS = 1024
 
 
 class _Table:
-    """The points of one call placed among its sorted distinct radii.
+    """The points of one call placed among its radii.
+
+    The radii are converted to Fractions, deduplicated and sorted; an empty
+    list or a negative radius raises ValueError.  sweep asks for positive
+    radii on top of that.
 
     place(w) gives (|w|^2, k, tie): radii[k] is the first radius whose
     closed disc holds w (len(radii) when none does), and tie says that w lies
@@ -193,8 +200,11 @@ class _Table:
                 f"precision_bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}],"
                 f" got {precision_bits}"
             )
-        if radii and radii[0] < 0:
-            raise ValueError("radius must be non-negative")
+        radii = sorted({Fraction(r) for r in radii})
+        if not radii:
+            raise ValueError("need at least one radius")
+        if radii[0] < 0:
+            raise ValueError(f"radius must be non-negative, got {radii[0]}")
         self.radii = radii
         self._r_sq = [r * r for r in radii]
         self._bits = max(precision_bits + 24, 64)
@@ -309,24 +319,24 @@ class _Table:
 
 def n_count(D: Divisor, r) -> int:
     """Multiplicity mass inside the closed disc of radius r about 0."""
-    return _Table([Fraction(r)]).counts(D.items())[0]
+    return _Table([r]).counts(D.items())[0]
 
 
 def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
     """Shift-truncated count inside the closed disc of radius r."""
-    return _Table([Fraction(r)]).counts(_truncated_weights(D, kappa, q))[0]
+    return _Table([r]).counts(_truncated_weights(D, kappa, q))[0]
 
 
 def N_integrated(D: Divisor, r, precision_bits: int = DEFAULT_PRECISION_BITS) -> CountingValue:
     """n(r) together with the integrated count N(r) and its error bound."""
-    return _Table([Fraction(r)], precision_bits).sweep(D.items())[0]
+    return _Table([r], precision_bits).sweep(D.items())[0]
 
 
 def N_tilde_q_integrated(
     D: Divisor, kappa, q: int, r, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> CountingValue:
     """Truncated count and its integral; the step function jumps at each |w|."""
-    return _Table([Fraction(r)], precision_bits).sweep(_truncated_weights(D, kappa, q))[0]
+    return _Table([r], precision_bits).sweep(_truncated_weights(D, kappa, q))[0]
 
 
 def counting_table(
@@ -336,13 +346,10 @@ def counting_table(
 
     The plain and the truncated sweep read one table of D's points.
     """
-    radii = sorted({Fraction(r) for r in radii})
-    if not radii:
-        raise ValueError("need at least one radius")
     table = _Table(radii, precision_bits)
     plain = table.sweep(D.items())
     truncated = table.sweep(_truncated_weights(D, kappa, q))
-    return list(zip(radii, plain, truncated))
+    return list(zip(table.radii, plain, truncated))
 
 
 def check_truncation(
@@ -353,77 +360,51 @@ def check_truncation(
     radii: Sequence,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> CheckReport:
-    """Truncated counting of an order-n factorial power vs q plain counts.
+    """Truncated counting of an order-n factorial power vs the plain count of
+    the order-q one.
 
     At every radius r the exact level asserts
 
         n_tilde_q(factorial_divisor(D, kappa, n), kappa, q, r)
-            <= sum_{i=0}^{q-1} n_count(shift_divisor(D, i*kappa), r)
+            <= n_count(factorial_divisor(D, kappa, q), r),
 
+    whose right side is sum_{i=0}^{q-1} n_count(shift_divisor(D, i*kappa), r),
     and the integrated level asserts the same shape up to certified error.
     The integrated comparison is only asserted at radii >= 1: below that
     the origin term carries a negative log r weight and integrating the
     count-level inequality no longer preserves its direction, so those rows
     report values without a verdict.
     """
-    kappa = require_shift(D.tower, kappa, "truncation check")
-    require_order(q, 1, "truncation order")
-    require_order(n, 1, "factorial order")
-    radii = [Fraction(r) for r in radii]
-    if not radii:
-        raise ValueError("need at least one radius")
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    radii = sorted(set(radii))
-
-    # One table for the 1+q sweeps: the factorial support {w - i*kappa : i < n}
-    # and the shifted supports {w - i*kappa : i < q} share their points, so
-    # each copy is built once.  The i-th shifted copy carries D's weights at
-    # w - i*kappa; the factorial divisor is the sum of the first n copies.
     table = _Table(radii, precision_bits)
-    copies = []
-    for i in range(max(n, q)):
-        step = kappa * i
-        copies.append([(w - step, c) for w, c in D.items()])
-    fact: dict[FieldElement, int] = {}
-    for copy in copies[:n]:
-        for w, c in copy:
-            fact[w] = fact.get(w, 0) + c
-    lhs_rows = table.sweep(window_excess(fact, kappa, q + 1))
-    rhs_sweeps = [table.sweep(copy) for copy in copies[:q]]
+    fact = factorial_divisor(D, kappa, n)
+    lhs_rows = table.sweep(_truncated_weights(fact, kappa, q))
+    rhs_rows = table.sweep(factorial_divisor(D, kappa, q).items())
 
     per_radius = []
-    all_ok = True
-    for r, lhs_cv, *rhs_cvs in zip(radii, lhs_rows, *rhs_sweeps):
-        lhs_n = lhs_cv.n_value
-        rhs_n = sum(cv.n_value for cv in rhs_cvs)
-        rhs_N = sum(cv.N_value for cv in rhs_cvs)
-        slack = lhs_cv.error + sum(cv.error for cv in rhs_cvs)
-        n_ok = lhs_n <= rhs_n
-        N_ok = lhs_cv.N_value <= rhs_N + slack if r >= 1 else None
-        all_ok = all_ok and n_ok and (N_ok is not False)
+    for r, lhs, rhs in zip(table.radii, lhs_rows, rhs_rows):
+        slack = lhs.error + rhs.error
         per_radius.append(
             {
                 "r": str(r),
-                "n_lhs": lhs_n,
-                "n_rhs": rhs_n,
-                "n_holds": n_ok,
-                "N_lhs": lhs_cv.N_value,
-                "N_rhs": rhs_N,
+                "n_lhs": lhs.n_value,
+                "n_rhs": rhs.n_value,
+                "n_holds": lhs.n_value <= rhs.n_value,
+                "N_lhs": lhs.N_value,
+                "N_rhs": rhs.N_value,
                 "N_error": slack,
-                "N_holds": N_ok,
+                "N_holds": lhs.N_value <= rhs.N_value + slack if r >= 1 else None,
             }
         )
 
     hypotheses = (
-        Hypothesis("parameters", True, f"q={q}, n={n}, {len(radii)} radii"),
+        Hypothesis("parameters", True, f"q={q}, n={n}, {len(table.radii)} radii"),
     )
     return CheckReport(
         Statement.TRUNCATION,
         hypotheses,
         lhs=per_radius[-1]["n_lhs"],
         rhs=per_radius[-1]["n_rhs"],
-        holds=all_ok,
+        holds=all(row["n_holds"] and row["N_holds"] is not False for row in per_radius),
         artifacts={
             "q": q,
             "n": n,
@@ -473,6 +454,8 @@ def check_ord_inequality(
     if any(g.tower != tower for g in gs):
         raise ValueError("all summands must share one coefficient tower")
     kappa_el = require_shift(tower, kappa, "order inequality")
+    # Given radii are checked before a failed hypothesis can end the check.
+    given = None if radii is None else _Table(radii)
 
     dense = [g.expand() for g in gs]
     total = Polynomial.zero(tower)
@@ -509,7 +492,7 @@ def check_ord_inequality(
             for w in g.roots():
                 for i in range(m):
                     candidates.add(w + kappa_el * i)
-        ordered = sorted(candidates, key=lambda e: e.coords)
+        ordered = sorted(candidates, key=point_key(candidates))
 
         # g_1 .. g_m answer from their root data, the dense sum g_{m+1} by Horner.
         ords = [g.ord_at for g in gs] + [total.ord_at]
@@ -523,32 +506,18 @@ def check_ord_inequality(
             if lhs_w > 0 and lhs_w > rhs_w:
                 violations.append({"point": str(w), "lhs": lhs_w, "rhs": rhs_w})
 
-        if radii is None:
-            base = [Fraction(1), Fraction(2), Fraction(5), Fraction(10)]
-            cover = _cover_radius(ordered)
-            checked = sorted(set(base + [cover]))
-        else:
-            checked = sorted({Fraction(r) for r in radii})
-            if any(r < 0 for r in checked):
-                raise ValueError("radii must be non-negative")
-
         # Each point placed once among the radii; the aggregates are prefix sums.
-        table = _Table(checked)
+        table = given or _Table([1, 2, 5, 10, _cover_radius(ordered)])
         lhs_sums = table.counts((w, lhs_w) for w, lhs_w, _ in point_rows)
         rhs_sums = table.counts((w, rhs_w) for w, _, rhs_w in point_rows)
-        per_radius = []
-        agg_ok = True
-        last_lhs = last_rhs = 0
-        for r, lhs_r, rhs_r in zip(checked, lhs_sums, rhs_sums):
-            ok = lhs_r <= rhs_r
-            agg_ok = agg_ok and ok
-            last_lhs, last_rhs = lhs_r, rhs_r
-            per_radius.append({"r": str(r), "lhs": lhs_r, "rhs": rhs_r, "holds": ok})
-
+        per_radius = [
+            {"r": str(r), "lhs": lhs_r, "rhs": rhs_r, "holds": lhs_r <= rhs_r}
+            for r, lhs_r, rhs_r in zip(table.radii, lhs_sums, rhs_sums)
+        ]
         return dict(
-            lhs=last_lhs,
-            rhs=last_rhs,
-            holds=not violations and certificate and agg_ok,
+            lhs=lhs_sums[-1],
+            rhs=rhs_sums[-1],
+            holds=not violations and certificate and all(row["holds"] for row in per_radius),
             artifacts={
                 "m": m,
                 "points_checked": len(ordered),

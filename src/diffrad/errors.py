@@ -72,6 +72,11 @@ class NegativeExponentError(ParseError):
     """An exponent below zero; only natural powers are allowed."""
 
 
+class PrintLimitError(ValueError):
+    """A coefficient whose printed numerator or denominator would pass the
+    digit limit of Python's int/str conversion."""
+
+
 class ZeroLeadingError(ValueError):
     """A factored polynomial with leading coefficient zero."""
 

@@ -600,6 +600,8 @@ class FieldElement:
         return result
 
     def __eq__(self, other):
+        if type(other) is FieldElement and other.tower is self.tower:
+            return self._den == other._den and self._num == other._num
         if isinstance(other, int):
             return self._den == 1 and self._num[0] == other and self.is_rational()
         if isinstance(other, Fraction):

@@ -21,6 +21,8 @@ MAX_POWER_BITS: the size of the longest integer literal the parser reads.
 No parsed coefficient may pass that literal, 10**MAX_DIGITS - 1, or it could
 not be printed: a finished parse is checked, and so are the end
 coefficients of a power of a non-constant base, before it is multiplied out.
+A computed result can still pass it (a monic radical divides by the leading
+coefficient), and the printer raises PrintLimitError for such a coefficient.
 
 Division requires a nonzero constant divisor, so `3/4` is the rational
 three-quarters and `i/2` is half of i.  `sqrt` takes anything evaluating to a
@@ -43,6 +45,7 @@ from typing import Iterable
 from .errors import (
     NegativeExponentError,
     ParseError,
+    PrintLimitError,
     UnknownConstantError,
 )
 from .field import FieldElement, FieldTower, muladd
@@ -391,14 +394,19 @@ def _print_memo(tower: FieldTower):
 
 
 def _basis_terms(x: FieldElement, order) -> list[tuple[int, tuple[str, ...]]]:
-    """(sign, '*'-joined atoms) of each nonzero basis term, in print order."""
+    """(sign, '*'-joined atoms) of each nonzero basis term, in print order;
+    PrintLimitError for a reduced numerator or denominator past the largest
+    literal, which str(int) cannot convert."""
     num, den = x._num, x._den
     terms = []
     for mask, syms in order:
         n = num[mask]
         if n:
             g = gcd(n, den)
-            mag = f"{abs(n) // g}" if g == den else f"{abs(n) // g}/{den // g}"
+            top, bottom = abs(n) // g, den // g
+            if top > _MAX_LITERAL or bottom > _MAX_LITERAL:
+                raise PrintLimitError(f"printed coefficients are capped at {MAX_DIGITS} digits")
+            mag = f"{top}" if bottom == 1 else f"{top}/{bottom}"
             terms.append((-1 if n < 0 else 1, syms if mag == "1" and syms else (mag, *syms)))
     return terms
 

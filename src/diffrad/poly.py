@@ -1,14 +1,17 @@
 """Exact univariate polynomials over a quadratic tower field, dense and factored.
 
 Divisor is the package's one point -> multiplicity map: a FactoredPoly is a
-leading coefficient and the Divisor of its roots, and window_excess, the
-excess ord_w - min_{0<=j<m} ord_{w+j*kappa} of each point over its shift
-window, serves the root-route radical and the truncated counts alike.
+leading coefficient and the Divisor of its roots, and Divisor.window_excess,
+the excess ord_w - min_{0<=j<m} ord_{w+j*kappa} of each point over its shift
+window, serves the root-route radical and the truncated counts alike.  Points
+are ordered by point_key, an integer key that sorts exactly as the Fraction
+coordinates do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import modular
@@ -462,8 +465,17 @@ def shift_window_excess(order: Callable[[FieldElement], int], w, kappa, m: int) 
     return base - low
 
 
+def point_key(points: Iterable[FieldElement]) -> Callable[[FieldElement], tuple]:
+    """Sort key on points of one tower that orders them exactly as their
+    Fraction coordinates do: each point's numerators scaled to the lcm of the
+    points' denominators, a tuple of integers over one common denominator."""
+    den = lcm(*[w._den for w in points])
+    return lambda w: tuple([x * (den // w._den) for x in w._num])
+
+
 class Divisor:
-    """Finite map from points to positive multiplicities."""
+    """Finite map from points to positive multiplicities, sorted once by
+    point_key into the (point, multiplicity) pairs that items() walks."""
 
     __slots__ = ("tower", "_support", "_items")
 
@@ -479,8 +491,8 @@ class Divisor:
                 )
             merged[point] = merged.get(point, 0) + mult
         object.__setattr__(self, "_support", merged)
-        # Sorted once, as pairs: counts, integrals and expansions walk them in order.
-        items = tuple(sorted(merged.items(), key=lambda pc: pc[0].coords))
+        key = point_key(merged)
+        items = tuple(sorted(merged.items(), key=lambda pc: key(pc[0])))
         object.__setattr__(self, "_items", items)
 
     def __setattr__(self, name, value):
@@ -506,6 +518,18 @@ class Divisor:
         delta = self.tower._coerce(delta)
         return Divisor(self.tower, [(w + delta, c) for w, c in self._support.items()])
 
+    def window_excess(self, kappa: FieldElement, m: int) -> list:
+        """(w, ord_w - min_{0<=j<m} ord_{w+j*kappa}) for each point w where that
+        is positive: the exponents of the root-route difference radical and
+        the weights of n_tilde_q (m = q + 1)."""
+        support = self._support
+
+        def order(w) -> int:
+            return support.get(w, 0)
+
+        excess = [(w, shift_window_excess(order, w, kappa, m)) for w, _ in self._items]
+        return [(w, e) for w, e in excess if e]
+
     def __len__(self) -> int:
         return len(self._support)
 
@@ -525,22 +549,11 @@ class Divisor:
         return f"Divisor({{{body}}})"
 
 
-def window_excess(mult: Mapping[FieldElement, int], kappa: FieldElement, m: int) -> list:
-    """(w, ord_w - min_{0<=j<m} ord_{w+j*kappa}) over a point -> multiplicity
-    map, for each of its points w where that is positive: the exponents of the
-    root-route difference radical and the weights of n_tilde_q (m = q + 1)."""
-    def order(w) -> int:
-        return mult.get(w, 0)
-
-    excess = [(w, shift_window_excess(order, w, kappa, m)) for w in mult]
-    return [(w, e) for w, e in excess if e]
-
-
 class FactoredPoly:
     """gamma * prod (z - w_j)^{m_j}: a nonzero leading coefficient and the
     Divisor of the roots.
 
-    The divisor merges duplicate roots and sorts them by coordinates, so
+    The divisor merges duplicate roots and sorts them by point_key, so
     equal products compare equal; factors, ord_at, roots and degree read it.
     """
 
@@ -560,7 +573,7 @@ class FactoredPoly:
 
     @property
     def factors(self) -> tuple:
-        """(root, multiplicity) pairs, roots sorted by coordinates."""
+        """(root, multiplicity) pairs, roots in point_key order."""
         return tuple(self.divisor.items())
 
     @property

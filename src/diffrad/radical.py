@@ -19,7 +19,6 @@ from .poly import (
     gcd,
     require_order,
     require_shift,
-    window_excess,
 )
 
 
@@ -81,7 +80,7 @@ def diff_radical_from_roots(f: FactoredPoly, kappa, m: int = 2) -> RadicalResult
     """Root-route oracle for diff_radical_m on factored input."""
     kappa = require_shift(f.tower, kappa, "difference radical")
     require_order(m, 2, "radical order")
-    radical_factors = window_excess(f.divisor._support, kappa, m)
+    radical_factors = f.divisor.window_excess(kappa, m)
     exponents = dict(radical_factors)
     one = f.tower.one
     cofactor_factors = [
@@ -105,7 +104,7 @@ def n_tilde_sum_bound(f: FactoredPoly, kappa, m: int) -> tuple[int, int]:
     """
     kappa = require_shift(f.tower, kappa, "difference radical")
     require_order(m, 2, "order")
-    orders = f.divisor._support
-    lhs = sum(e for _, e in window_excess(orders, kappa, m))
-    rhs = sum(e for j in range(1, m) for _, e in window_excess(orders, kappa * j, 2))
+    D = f.divisor
+    lhs = sum(e for _, e in D.window_excess(kappa, m))
+    rhs = sum(e for j in range(1, m) for _, e in D.window_excess(kappa * j, 2))
     return lhs, rhs

@@ -458,6 +458,49 @@ def test_unprintable_coefficient_is_a_parse_error(capsys, expr):
     assert err.startswith("diffrad: coefficients are capped at 4300 digits")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divisor", "--divisor", "(1,1)", "--radii", "-1,2"],
+        ["divisor", "--divisor", "(1,1)", "--radii", "-1,2", "--truncation"],
+        ["divisor", "--ord-inequality", "1;(0,2)", "1;(-2,2)", "--radii", "-1"],
+    ],
+    ids=["table", "truncation", "ord-inequality"],
+)
+def test_negative_radius_message(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "diffrad: radius must be non-negative, got -1\n"
+
+
+# Inside the parse cap, but the monic radical's constant term 1/lead has the
+# norm a^2 - 2b^2 of the leading coefficient, about 16000 bits, below its bar.
+UNPRINTABLE_RESULT = "((10^200)^12 + ((10^200)^12+1)*sqrt(2))*z + 1"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_unprintable_result_is_a_typed_error(monkeypatch, capsys, mode):
+    handled = []
+
+    def spy(*args, **kwargs):
+        handled.append(sys.exc_info()[0])
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", spy, raising=False)
+    assert main(["radical", UNPRINTABLE_RESULT, *mode]) == 2
+    assert handled == [errors.PrintLimitError]
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == "diffrad: printed coefficients are capped at 4300 digits\n"
+
+
+def test_coefficient_of_exactly_4300_digits_prints(capsys):
+    nines = "9" * 4300
+    code, out = run(capsys, ["radical", f"{nines}*z + 1"])
+    assert code == 0
+    assert f"input: {nines}*z + 1\n" in out
+    assert f"radical: z + 1/{nines}\n" in out
+
+
 @pytest.mark.parametrize("expr", ["z^20000", "2^100000000", "(z^2)^101"])
 def test_power_cap_is_a_parse_error(capsys, expr):
     assert main(["radical", expr]) == 3

@@ -61,6 +61,56 @@ def test_construction_merges_and_coerces(tower):
     assert list(pts) == sorted(pts, key=lambda e: e.coords)
 
 
+def _random_points(rng, t, count):
+    """Distinct points of t: mixed denominators, negative coordinates, and
+    elements lifted from the prefix subtowers Q, Q(i) and Q(i, sqrt(2))."""
+    subs = [FieldTower.rationals()]
+    subs += [subs[-1].adjoin_sqrt(-1)]
+    subs += [subs[-1].adjoin_sqrt(2)]
+    assert all(t.extends(sub) for sub in subs)
+    points = set()
+    while len(points) < count:
+        src = rng.choice(subs + [t, t])
+        coords = [
+            Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 9))) if rng.random() < 0.7 else 0
+            for _ in range(src.dim)
+        ]
+        points.add(src.element(coords).lift_to(t))
+    return list(points)
+
+
+def test_divisor_items_are_in_coordinate_order(any_tower):
+    rng = random.Random(58)
+    for _ in range(30):
+        points = _random_points(rng, any_tower, rng.randint(1, 12))
+        D = Divisor(any_tower, [(w, rng.randint(1, 3)) for w in points])
+        expected = sorted(points, key=lambda e: e.coords)
+        assert [w for w, _ in D.items()] == expected == list(D.support())
+
+
+def test_ord_inequality_points_are_in_coordinate_order(any_tower, monkeypatch):
+    visited = []
+    excess = diffrad.divisor.shift_window_excess
+
+    def spy(order, w, kappa, m):
+        if not visited or visited[-1] != w:
+            visited.append(w)
+        return excess(order, w, kappa, m)
+
+    monkeypatch.setattr(diffrad.divisor, "shift_window_excess", spy)
+    rng = random.Random(59)
+    t = any_tower
+    for m in (2, 3):
+        points = _random_points(rng, t, 3 * m)
+        gs = [FactoredPoly(t.one, [(w, 1) for w in points[j::m]]) for j in range(m)]
+        kappa = _random_points(rng, t, 1)[0] or t.one
+        visited.clear()
+        report = check_ord_inequality(gs, kappa)
+        assert report.hypotheses_ok
+        candidates = {w + kappa * i for g in gs for w in g.roots() for i in range(m)}
+        assert visited == sorted(candidates, key=lambda e: e.coords)
+
+
 def test_rejects_bad_multiplicities_and_points(tower):
     for mult in (0, -1, Fraction(3, 2), "2"):
         with pytest.raises(NonPositiveMultiplicityError):
@@ -203,8 +253,9 @@ def test_check_truncation_random(tower):
         D = random_divisor(rng, tower, kappa)
         if not D:
             continue
-        report = check_truncation(D, kappa, rng.randint(1, 3), rng.randint(1, 2), [1, 2, 5, 10])
+        report = check_truncation(D, kappa, rng.randint(1, 3), rng.randint(1, 2), [10, 1, 5, 2, 5])
         assert report.holds and report.exit_code() == 0
+        assert [row["r"] for row in report.artifacts["per_radius"]] == ["1", "2", "5", "10"]
         for row in report.artifacts["per_radius"]:
             assert row["n_holds"] and row["N_holds"]
             assert row["N_error"] <= INTEGRATION_TOL
@@ -226,10 +277,8 @@ def test_check_truncation_below_radius_one_has_no_verdict(tower):
 
 def test_exact_tie_with_q_3_holds(tower):
     # With n = q = 3 the truncated factorial weights are exactly the three
-    # shifted copies of D, so both integrated sides are one value.  The
-    # left is rounded once, the right is a float sum of three rounded
-    # values; at r = 5 the sum comes out below the left, and only the float
-    # rounding term of the certified error keeps the tie.
+    # shifted copies of D, that is the order-3 factorial divisor itself, so
+    # both sweeps add the same integers and round them to the same value.
     i = tower.sqrt_gen(0)
     w = Fraction(-3, 2) - i
     D = Divisor(tower, {w: 1, w + 5 * i: 2})
@@ -239,7 +288,7 @@ def test_exact_tie_with_q_3_holds(tower):
     assert all(row["N_holds"] is True for row in rows)
     assert all(abs(row["N_lhs"] - row["N_rhs"]) <= row["N_error"] <= 1e-14 for row in rows)
     tie = next(row for row in rows if row["r"] == "5")
-    assert tie["N_lhs"] > tie["N_rhs"]
+    assert tie["N_lhs"] == tie["N_rhs"]
     assert report.holds is True
 
 
@@ -396,6 +445,48 @@ def test_counting_table_matches_one_radius_calls(tower):
         counting_table(D, 1, 1, [0, 1])
 
 
+def test_check_truncation_makes_two_sweeps(tower, monkeypatch):
+    sweeps = []
+    sweep = diffrad.divisor._Table.sweep
+
+    def spy(table, weights):
+        sweeps.append(table)
+        return sweep(table, weights)
+
+    monkeypatch.setattr(diffrad.divisor._Table, "sweep", spy)
+    D = _overlapping_divisor(tower)
+    for q in (1, 2, 3):
+        for n in (1, 3):
+            sweeps.clear()
+            check_truncation(D, tower.sqrt_gen(0), q, n, [1, 2, 5])
+            assert len(sweeps) == 2 and sweeps[0] is sweeps[1]
+
+
+def test_radius_errors_share_one_message(tower):
+    D = Divisor(tower, {0: 1, 2: 1})
+    gs = [FactoredPoly(tower.one, [(0, 2)]), FactoredPoly(tower.one, [(-2, 2)])]
+    one_radius = [lambda r: n_count(D, r), lambda r: N_integrated(D, r)]
+    radius_lists = [
+        lambda radii: counting_table(D, 1, 1, radii),
+        lambda radii: check_truncation(D, 1, 1, 1, radii),
+        lambda radii: check_ord_inequality(gs, 1, radii),
+    ]
+
+    def message(call, arg):
+        with pytest.raises(ValueError) as err:
+            call(arg)
+        return str(err.value)
+
+    assert {message(call, []) for call in radius_lists} == {"need at least one radius"}
+    negative = [message(call, -1) for call in one_radius]
+    negative += [message(call, [2, -1, Fraction(1, 2), 2]) for call in radius_lists]
+    assert set(negative) == {"radius must be non-negative, got -1"}
+    # The integrated counts ask for a positive radius on top of that.
+    for call in radius_lists[:2]:
+        assert message(call, [0, 1]) == "integrated counting needs a positive radius"
+    assert n_count(D, 0) == 1
+
+
 def _ord_oracle_rows(gs, kappa, radii):
     """The per-radius aggregate of check_ord_inequality, one comparison per
     (point, radius) and each window minimum taken over all m points."""
@@ -488,10 +579,15 @@ def test_check_ord_inequality_random(tower):
 def test_check_ord_inequality_explicit_radii(tower):
     g1 = FactoredPoly(tower.one, [(0, 2)])
     g2 = FactoredPoly(tower.one, [(-2, 2)])
-    report = check_ord_inequality([g1, g2], 1, radii=[1, 3])
+    report = check_ord_inequality([g1, g2], 1, radii=[3, 1, 3, Fraction(2, 2)])
     assert [row["r"] for row in report.artifacts["per_radius"]] == ["1", "3"]
     with pytest.raises(ValueError):
         check_ord_inequality([g1, g2], 1, radii=[-1])
+    # also when a failed hypothesis ends the check before any counting
+    shared = [FactoredPoly(tower.one, [(0, 1), (1, 1)]), FactoredPoly(tower.one, [(0, 1)])]
+    assert not check_ord_inequality(shared, 1, radii=[1]).hypotheses_ok
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        check_ord_inequality(shared, 1, radii=[-1])
 
 
 def test_check_ord_inequality_failure_modes(tower):
