@@ -5,7 +5,9 @@ Each suite draws fresh random inputs and asserts an identity that must hold
 on every single trial: the radical product decomposition, the counting
 properties, the degree bounds for sum identities, oracle agreement between
 the gcd and root routes, factorial power bounds, truncated counting
-domination, the pointwise order inequality, and the print/parse round trip.
+domination, the pointwise order inequality, the placement of counting
+points among radii against exact comparisons, and the print/parse round
+trip.
 
     python scripts/stress_identities.py --trials 200 --seed 7
     python scripts/stress_identities.py --suites lemma,oracle --max-deg 15
@@ -15,6 +17,8 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
+from math import isqrt
 
 from diffrad import (
     Form,
@@ -27,6 +31,7 @@ from diffrad import (
     check_mason_triple,
     check_ord_inequality,
     check_truncation,
+    compare_real,
     diff_radical,
     diff_radical_from_roots,
     diff_radical_m,
@@ -41,12 +46,14 @@ from diffrad import (
     print_poly,
     shift_divisor,
 )
+from diffrad import divisor
 from diffrad.generators import (
     random_divisor,
     random_factored,
     random_fermat_instance,
     random_fraction,
     random_kappa,
+    random_lattice_roots,
     random_mason_triple,
     random_mason_tuple,
     random_ord_inputs,
@@ -152,6 +159,66 @@ def suite_ord(rng, tower, trials, max_deg):
         assert not report.artifacts["violations"]
 
 
+def _convergents(x: Fraction, count: int) -> list[Fraction]:
+    """The first `count` continued-fraction convergents of x (fewer when x's
+    expansion ends sooner; the last is then x itself)."""
+    out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+    while len(out) < count:
+        a = x.numerator // x.denominator
+        (h0, h1), (k0, k1) = (h1, a * h1 + h0), (k1, a * k1 + k0)
+        out.append(Fraction(h1, k1))
+        if x == a:
+            break
+        x = 1 / (x - a)
+    return out
+
+
+def _oracle_place(w, radii):
+    """(k, tie) for sorted distinct radii by exact comparisons alone; the
+    origin goes to the first disc and never onto a circle."""
+    if not w:
+        return 0, False
+    abs_sq = w.abs_squared()
+    for k, r in enumerate(radii):
+        side = compare_real(abs_sq, r * r)
+        if side <= 0:
+            return k, side == 0
+    return len(radii), False
+
+
+def suite_placement(rng, tower, trials, max_deg):
+    # Radii are convergents of |w| for the drawn points: shallow ones lie far
+    # from every circle, deep ones inside the table's enclosure of |w|^2, and
+    # a rational |w| is reached exactly, so every branch of _Table.place runs.
+    # The deepest convergent is the radius nearest |w|, which a binary search
+    # always compares; for an irrational |w|^2 it needs the exact fallback.
+    compare, fallbacks, irrational = divisor.compare_real, [], False
+
+    def counted(a, b):
+        fallbacks.append(a)
+        return compare(a, b)
+
+    divisor.compare_real = counted
+    try:
+        for _ in range(trials):
+            kappa = random_kappa(rng, tower)
+            points = random_lattice_roots(rng, tower, kappa, rng.randint(1, 4))
+            radii = [Fraction(rng.randint(1, 12), rng.randint(1, 4))]
+            for w in points:
+                # |w| to within 2**-199: the floor of the root of a lower bound
+                low = w.abs_squared().embed(200).re_lo
+                root = Fraction(isqrt((low.numerator << 400) // low.denominator), 1 << 200)
+                convergents = _convergents(root, 40)
+                radii += [convergents[-1]] + rng.sample(convergents, min(2, len(convergents)))
+                irrational |= not w.abs_squared().is_rational()
+            table = divisor._Table(radii)
+            for w in points + [-w for w in points]:
+                assert table.place(w)[1:] == _oracle_place(w, table.radii), (w, radii)
+    finally:
+        divisor.compare_real = compare
+    assert fallbacks or not irrational, "no radius fell inside an enclosure"
+
+
 def suite_roundtrip(rng, tower, trials, max_deg):
     def element():
         # Any subset of the 2^depth basis coordinates, products of roots included.
@@ -176,6 +243,7 @@ SUITES = {
     "divisor": suite_divisor,
     "ord": suite_ord,
     "roundtrip": suite_roundtrip,
+    "placement": suite_placement,
 }
 
 

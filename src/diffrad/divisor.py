@@ -20,8 +20,12 @@ the root-route radical too, with m = q+1 in _truncated_weights.
 Every count runs one kernel, a point table (_Table) per call.  The table
 is the one home of the radii: it converts them to Fractions, deduplicates
 and sorts them, and rejects an empty list or a negative radius.  It places
-each distinct point once among them by exact comparisons and encloses each
-distinct log|w|^2 once.  A sweep is a weighted prefix sum over the table:
+each distinct point once among them and encloses each distinct log|w|^2
+once.  A placement reads one certified integer enclosure of |w|^2 and
+decides a radius by it only when the radius lies strictly outside; ties
+(rational |w|^2 only) are decided exactly, and a radius inside the
+enclosure goes to the exact sign recursion (field.compare_real), so every
+verdict stays exact.  A sweep is a weighted prefix sum over the table:
 one weight list gives per-radius masses and log sums, and so n(r) and N(r)
 at every radius.  No floating point enters before its last step, which
 rounds the enclosure of each radius to a value and an error bound.
@@ -29,8 +33,9 @@ rounds the enclosure of each radius to a value and an error bound.
 check_truncation verifies, radius by radius, that truncated counting of an
 order-n factorial power is dominated by the plain count of the order-q one,
 which is the sum of q plain counts of shifted copies.  Its two sweeps read
-one table: the supports {w - i*kappa : i < n} and {w - i*kappa : i < q} of
-the two factorial divisors share their points.  counting_table (the CLI
+one table and one shift chain: the supports {w - i*kappa : i < n} and
+{w - i*kappa : i < q} of the two factorial divisors are prefixes of the
+copies {w - i*kappa : i < max(n, q)}, built once.  counting_table (the CLI
 table) is one plain and one truncated sweep over one table, without the
 comparison.
 check_ord_inequality verifies the per-point order inequality for
@@ -49,7 +54,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DependentInputsError, ZeroSumError
-from .field import FieldElement, compare_real
+from .field import FieldElement, compare_real, scaled_box
 from .mason import casoratian
 from .poly import (
     Divisor,
@@ -77,17 +82,21 @@ def shift_divisor(D: Divisor, kappa) -> Divisor:
     return D.translate(-D.tower._coerce(kappa))
 
 
+def _shift_chain(D: Divisor, kappa: FieldElement, n: int) -> list[list]:
+    """The n copies of D's items at w - i*kappa, i < n, each copy moved by
+    -kappa from the one before."""
+    chain = [list(D.items())]
+    for _ in range(1, n):
+        chain.append([(w - kappa, c) for w, c in chain[-1]])
+    return chain
+
+
 def factorial_divisor(D: Divisor, kappa, n: int) -> Divisor:
     """Divisor of the order-n factorial power built from D's function: D's
     points, then each copy moved by -kappa from the one before."""
     kappa = require_shift(D.tower, kappa, "factorial divisor")
     require_order(n, 1, "factorial order")
-    shifted = list(D.items())
-    entries = list(shifted)
-    for _ in range(1, n):
-        shifted = [(w - kappa, c) for w, c in shifted]
-        entries += shifted
-    return Divisor(D.tower, entries)
+    return Divisor(D.tower, itertools.chain.from_iterable(_shift_chain(D, kappa, n)))
 
 
 def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, int]]:
@@ -180,11 +189,17 @@ class _Table:
     place(w) gives (|w|^2, k, tie): radii[k] is the first radius whose
     closed disc holds w (len(radii) when none does), and tie says that w lies
     on that circle, so its open discs start one radius later.  Each distinct
-    point w != 0 costs one binary search of exact comparisons of |w|^2
-    against the squared radii, the first time any sweep asks for it.  Each
-    distinct |w|^2, and each radius, is given one logarithm enclosure: an
-    integer pair (lo, hi) at the scale 2**-prec (_log_fixed).  Every count
-    and sweep of the call reads the same table.
+    point w != 0 is placed once, the first time any sweep asks for it, by a
+    binary search against the squared radii over one integer enclosure of
+    |w|^2: the value itself when it is rational, which also decides ties,
+    and otherwise field.scaled_box at the working precision _bits.  A radius
+    strictly outside the enclosure is decided by two integer products; only
+    a radius inside it, or an element the bounds table cannot enclose,
+    goes to the exact norm recursion (compare_real).  An irrational |w|^2
+    never equals a rational r^2, so no tie is lost.  Each distinct |w|^2,
+    and each radius, is given one logarithm enclosure: an integer pair
+    (lo, hi) at the scale 2**-prec (_log_fixed).  Every count and sweep of
+    the call reads the same table.
 
     precision_bits (in [MIN_PRECISION_BITS, MAX_PRECISION_BITS]) is the
     width asked of the boxes of irrational |w|^2; the logarithms work
@@ -206,7 +221,7 @@ class _Table:
         if radii[0] < 0:
             raise ValueError(f"radius must be non-negative, got {radii[0]}")
         self.radii = radii
-        self._r_sq = [r * r for r in radii]
+        self._r_sq = [(r.numerator ** 2, r.denominator ** 2) for r in radii]
         self._bits = max(precision_bits + 24, 64)
         self._prec = self._bits + 16
         self._places: dict = {}
@@ -217,11 +232,27 @@ class _Table:
         hit = self._places.get(w)
         if hit is None:
             abs_sq = w.abs_squared()
+            # low <= |w|^2 * scale <= high, with equality throughout when exact.
+            exact = abs_sq.is_rational()
+            if exact:
+                value = abs_sq.as_fraction()
+                low = high = value.numerator
+                scale = value.denominator
+            else:
+                # Without a box (the bounds table stops early) every radius straddles.
+                (low, high, _, _), scale = scaled_box(abs_sq, self._bits) or ((0, 0, 0, 0), 0)
             r_sq = self._r_sq
             lo, hi, tie = 0, len(r_sq) if w else 0, False
             while lo < hi:
                 mid = (lo + hi) // 2
-                side = compare_real(abs_sq, r_sq[mid])
+                a, b = r_sq[mid]
+                x = a * scale
+                if x < low * b:
+                    side = 1
+                elif x > high * b:
+                    side = -1
+                else:
+                    side = 0 if exact else compare_real(abs_sq, Fraction(a, b))
                 if side <= 0:
                     hi, tie = mid, tie or side == 0
                 else:
@@ -376,9 +407,16 @@ def check_truncation(
     report values without a verdict.
     """
     table = _Table(radii, precision_bits)
-    fact = factorial_divisor(D, kappa, n)
-    lhs_rows = table.sweep(_truncated_weights(fact, kappa, q))
-    rhs_rows = table.sweep(factorial_divisor(D, kappa, q).items())
+    # One shift chain, of length max(n, q), carries both factorial divisors;
+    # the checks and their messages are factorial_divisor's, in its order.
+    kappa = require_shift(D.tower, kappa, "factorial divisor")
+    require_order(n, 1, "factorial order")
+    require_order(q, 1, "truncation order")
+    chain = _shift_chain(D, kappa, max(n, q))
+    fact = Divisor(D.tower, itertools.chain.from_iterable(chain[:n]))
+    lhs_rows = table.sweep(fact.window_excess(kappa, q + 1))
+    # The order-q divisor's weights, unmerged: a sweep only sums them.
+    rhs_rows = table.sweep(itertools.chain.from_iterable(chain[:q]))
 
     per_radius = []
     for r, lhs, rhs in zip(table.radii, lhs_rows, rhs_rows):

@@ -14,10 +14,14 @@ Each radicand must be real (fixed by conjugation of the tower built so far);
 positive radicands embed to the positive real root, negative ones to the
 root with positive imaginary part.  Signs of real elements, and so branch
 choices, are exact: a norm recursion over the roots (`_sign`).  Embeddings
-enclose values (integrals, `complex()`), never decide a sign or an equality.
-Every root is real or i times a real, so each basis element lies on an axis
-of the plane, and an embedding is a linear form over per-precision integer
-bounds on the basis (`FieldTower._bounds`), returned as a rational rectangle.
+enclose values (integrals, `complex()`).  An enclosure decides a comparison
+only by strict separation, which is a proof (the counting kernel places
+points among radii this way); an equality, or a value inside the bounds,
+goes to the exact recursion.  Every root is real or i times a real, so each
+basis element lies on an axis of the plane, and an embedding is a linear
+form over per-precision integer bounds on the basis (`FieldTower._bounds`):
+integers at one scale (`scaled_box`), returned by `embed` as a rational
+rectangle.
 """
 
 from __future__ import annotations
@@ -495,7 +499,7 @@ class FieldElement:
     the product basis; `coords` gives them back as Fractions.
     """
 
-    __slots__ = ("tower", "_num", "_den")
+    __slots__ = ("tower", "_num", "_den", "_hash")
 
     def __init__(self, tower: FieldTower, coords):
         fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
@@ -503,6 +507,7 @@ class FieldElement:
         self.tower = tower
         self._num = tuple([c.numerator * (den // c.denominator) for c in fracs])
         self._den = den
+        self._hash = None
 
     @property
     def coords(self) -> tuple:
@@ -619,13 +624,16 @@ class FieldElement:
         return a._den == b._den and a._num == b._num
 
     def __hash__(self):
-        num = self._num
-        end = len(num)
-        while end > 1 and num[end - 1] == 0:
-            end -= 1
-        # Trailing zeros dropped, so an element hashes alike in every tower
-        # it lifts to.
-        return hash((num[:end], self._den))
+        h = self._hash
+        if h is None:
+            num = self._num
+            end = len(num)
+            while end > 1 and num[end - 1] == 0:
+                end -= 1
+            # Trailing zeros dropped, so an element hashes alike in every
+            # tower it lifts to.  Elements are immutable: kept on first use.
+            h = self._hash = hash((num[:end], self._den))
+        return h
 
     # -- conjugation and embedding ------------------------------------------
 
@@ -654,13 +662,11 @@ class FieldElement:
         """
         if precision_bits < 8:
             raise ValueError("precision_bits must be at least 8")
-        num, den = self._num, self._den
         prec = precision_bits + 4
         while prec <= MAX_ENCLOSURE_BITS:
-            bounds = self.tower._bounds(prec)
-            if not any(num[len(bounds):]):
-                box = _linear(num, bounds)
-                scale = den << prec
+            enc = scaled_box(self, prec)
+            if enc is not None:
+                box, scale = enc
                 if max(box[1] - box[0], box[3] - box[2]) << precision_bits <= scale:
                     return ComplexInterval(*[Fraction(v, scale) for v in box])
             prec *= 2
@@ -693,7 +699,24 @@ def _make(tower: FieldTower, num: tuple, den: int) -> FieldElement:
     x.tower = tower
     x._num = num
     x._den = den
+    x._hash = None
     return x
+
+
+def scaled_box(x: FieldElement, prec: int) -> Optional[tuple[list, int]]:
+    """(box, scale): integers [re_lo, re_hi, im_lo, im_hi] with
+    re_lo <= Re(x) * scale <= re_hi and im_lo <= Im(x) * scale <= im_hi,
+    at scale = den << prec for x's denominator den.
+
+    The linear form over the tower's bounds table at prec (`_bounds`), the
+    one enclosure kernel: `embed` and the placement of counting points both
+    run it.  None when the table stops before a nonzero coordinate of x.
+    """
+    num = x._num
+    bounds = x.tower._bounds(prec)
+    if any(num[len(bounds):]):
+        return None
+    return _linear(num, bounds), x._den << prec
 
 
 def muladd(acc: FieldElement, x: FieldElement, y: FieldElement) -> FieldElement:

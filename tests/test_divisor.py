@@ -374,11 +374,17 @@ def test_check_truncation_rows_match_pointwise_oracle(tower):
 
 
 class _Spy:
-    """Records the |w|^2 that the counting kernel compares and encloses."""
+    """Records the points the counting kernel places, the |w|^2 it hands the
+    exact comparison, and the |w|^2 whose logarithm it encloses."""
 
     def __init__(self, monkeypatch):
-        self.compared, self.enclosed = Counter(), Counter()
+        self.placed, self.compared, self.enclosed = Counter(), Counter(), Counter()
         compare, embed = diffrad.divisor.compare_real, FieldElement.embed
+        abs_squared = FieldElement.abs_squared
+
+        def spy_abs_squared(w):
+            self.placed[w] += 1
+            return abs_squared(w)
 
         def spy_compare(a, b):
             self.compared[a] += 1
@@ -388,24 +394,25 @@ class _Spy:
             self.enclosed[x] += 1
             return embed(x, *args)
 
+        monkeypatch.setattr(FieldElement, "abs_squared", spy_abs_squared)
         monkeypatch.setattr(diffrad.divisor, "compare_real", spy_compare)
         monkeypatch.setattr(FieldElement, "embed", spy_embed)
 
     def assert_each_point_once(self, points, radii):
-        """A binary search among 2^k - 1 radii makes exactly k comparisons, so
-        one placement per distinct point w != 0 means k calls per point; each
-        irrational |w|^2 strictly inside the largest radius is enclosed once."""
-        steps = len(radii).bit_length()
-        assert len(radii) == 2 ** steps - 1
-        expected = Counter()
-        for w in points:
-            if w:
-                expected[w.abs_squared()] += steps
-        assert self.compared == expected
+        """Each distinct point is placed once (one |w|^2 per point), no radius
+        needs the exact comparison (every point is well separated from every
+        circle), and each irrational |w|^2 strictly inside the largest radius
+        has its logarithm enclosed once."""
+        assert self.placed == Counter(set(points))
+        assert not self.compared
         top = max(radii) ** 2
-        inside = {a for a in expected if not a.is_rational() and compare_real(a, top) < 0}
+        inside = {
+            a for a in map(FieldElement.abs_squared, set(points))
+            if not a.is_rational() and compare_real(a, top) < 0
+        }
+        assert inside  # the irrational branch is exercised
         assert self.enclosed == Counter(inside)
-        self.compared.clear()
+        self.placed.clear()
         self.enclosed.clear()
 
 
@@ -424,6 +431,106 @@ def test_one_table_per_check_places_and_encloses_each_point_once(tower, monkeypa
             spy.assert_each_point_once(lhs | shifted, radii)
             counting_table(D, kappa, q, radii)
             spy.assert_each_point_once(D.support(), radii)
+
+
+def _oracle_place(w, radii):
+    """(k, tie) by exact comparisons alone, radius by radius: the first
+    closed disc that holds w, and whether w lies on its circle.  The origin
+    is placed in the first disc and never on a circle (its log r term is
+    separate)."""
+    if not w:
+        return 0, False
+    abs_sq = w.abs_squared()
+    for k, r in enumerate(sorted(set(map(Fraction, radii)))):
+        side = compare_real(abs_sq, r * r)
+        if side <= 0:
+            return k, side == 0
+    return len(set(radii)), False
+
+
+def _sqrt2_convergents(max_den):
+    """Continued-fraction convergents p/q of sqrt(2) with q <= max_den; they
+    alternate below and above it, |sqrt(2) - p/q| < 1/(2 q^2)."""
+    out, (p0, q0), (p1, q1) = [], (1, 1), (3, 2)
+    while q0 <= max_den:
+        out.append(Fraction(p0, q0))
+        (p0, q0), (p1, q1) = (p1, q1), (2 * p1 + p0, 2 * q1 + q0)
+    return out
+
+
+def _spied_places(monkeypatch, table, points):
+    calls = []
+    compare = diffrad.divisor.compare_real
+
+    def spy(a, b):
+        calls.append((a, b))
+        return compare(a, b)
+
+    monkeypatch.setattr(diffrad.divisor, "compare_real", spy)
+    places = [table.place(w)[1:] for w in points]
+    monkeypatch.undo()
+    return places, calls
+
+
+def test_placement_decides_rational_ties_exactly(tower, monkeypatch):
+    i = tower.sqrt_gen(0)
+    cases = [
+        (3 + 4 * i, [1, 5, 7]),
+        ((3 + 4 * i) / 5, [Fraction(1, 2), 1, 2]),
+        ((3 + 4 * i) / 5, [1]),
+        (tower.rational(Fraction(9, 4)), [Fraction(3, 2), Fraction(3, 1)]),
+        (tower.zero, [0, 1]),
+    ]
+    for w, radii in cases:
+        places, calls = _spied_places(monkeypatch, diffrad.divisor._Table(radii), [w])
+        assert places == [_oracle_place(w, radii)]
+        assert not calls
+    assert _oracle_place(3 + 4 * i, [1, 5, 7]) == (1, True)
+    assert _oracle_place((3 + 4 * i) / 5, [1]) == (0, True)
+
+
+def test_placement_falls_back_to_exact_signs_inside_the_enclosure(tower, monkeypatch):
+    # |1 + sqrt(2)|^2 = 3 + 2 sqrt(2) against r = 1 + p/q for the last two
+    # convergents up to 2^46: |r^2 - (3 + 2 sqrt(2))| < 2^-80 on either side,
+    # far inside any enclosure at the table's 64 working bits.
+    s2 = tower.sqrt_gen(1)
+    w = 1 + s2
+    below, above = sorted(1 + c for c in _sqrt2_convergents(1 << 46)[-2:])
+    for r in (below, above):
+        gap = abs(float(r * r - 3) - 2 * math.sqrt(2))
+        assert gap < 2.0 ** -40 and compare_real(w.abs_squared(), r * r) != 0
+    exact = 3 + 2 * s2 - below * below, above * above - 3 - 2 * s2
+    assert all(d.sign_real() > 0 and compare_real(d, Fraction(1, 2 ** 80)) < 0 for d in exact)
+    for radii in ([below], [above], [1, below, above, 3], [below, 5], [Fraction(1, 2), above]):
+        table = diffrad.divisor._Table(radii)
+        places, calls = _spied_places(monkeypatch, table, [w, -w, w.conj(), 2 + s2])
+        assert places == [_oracle_place(x, radii) for x in (w, -w, w.conj(), 2 + s2)]
+        assert calls and {a for a, _ in calls} == {w.abs_squared()}
+    D = Divisor(tower, {w: 2, 2 + s2: 1, 0: 1})
+    rows = check_truncation(D, 1, 2, 2, [1, below, above, 4]).artifacts["per_radius"]
+    # 1 + sqrt(2) itself (twice) and the shifted copy of 2 + sqrt(2) lie between.
+    assert rows[2]["n_rhs"] - rows[1]["n_rhs"] == 3
+
+
+def test_placement_without_an_enclosure_uses_exact_signs(monkeypatch):
+    # sqrt(2) - p/q is about 2^-91, so at the table's working precision the
+    # bounds of that radicand do not clear 0 and the tower's bounds table
+    # stops before its root: elements that use the root get no box at all.
+    base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
+    c = next(c for c in reversed(_sqrt2_convergents(1 << 46)) if c * c < 2)
+    top = base.adjoin_sqrt(base.sqrt_gen(1) - c)
+    eps = top.gen_radicand(2)
+    assert 0 < eps.sign_real() and compare_real(eps, Fraction(1, 2 ** 88)) < 0
+    i, s2, t = top.sqrt_gen(0), top.sqrt_gen(1), top.sqrt_gen(2)
+    table = diffrad.divisor._Table([Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
+    assert diffrad.field.scaled_box((1 + t) * (1 + t), table._bits) is None
+    points = [1 + t, 1 - t, (1 + t) * i, s2 + t, 2 + 3 * t, Fraction(3, 2) * (1 + t)]
+    places, calls = _spied_places(monkeypatch, table, points)
+    assert places == [_oracle_place(w, table.radii) for w in points]
+    assert len({a for a, _ in calls}) == len({w.abs_squared() for w in points})
+    # the integrals still enclose the logarithms past the early stop
+    N = N_integrated(Divisor(top, {1 + t: 1, 2 + 3 * t: 2}), 3)
+    assert N.n_value == 3 and N.error < 1e-9
 
 
 def test_counting_table_matches_one_radius_calls(tower):

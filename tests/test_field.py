@@ -258,6 +258,26 @@ def test_element_hash_consistent_across_lifts(tower):
     assert b == tower.rational(Fraction(5, 3))
 
 
+def test_element_hash_drops_trailing_zeros_across_lifts(tower):
+    # The hash is kept with the element on first use; it must still be the
+    # one every lift of the element computes, whichever is hashed first.
+    rng = random.Random(11)
+    subs = _subtowers(tower)
+    for small in subs:
+        for _ in range(20):
+            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(small.dim)]
+            coords[rng.randrange(small.dim)] = 0
+            x = small.element(coords)
+            lifts = [x.lift_to(big) for big in subs if big.extends(small)]
+            if rng.random() < 0.5:
+                lifts.reverse()
+            hashes = {hash(y) for y in lifts} | {hash(x), hash(x)}
+            assert len(hashes) == 1
+            assert all(y in {x} for y in lifts) and x in set(lifts)
+            built = tower.element(lifts[-1].lift_to(tower).coords)
+            assert hash(built) == hash(x) and hash(x + 1 - 1) == hash(x)
+
+
 def _subtowers(tower):
     """The towers on each prefix of tower's generators, Q first."""
     out = [FieldTower.rationals()]
