@@ -6,8 +6,8 @@ on every single trial: the radical product decomposition, the counting
 properties, the degree bounds for sum identities, oracle agreement between
 the gcd and root routes, factorial power bounds, truncated counting
 domination, the pointwise order inequality, the placement of counting
-points among radii against exact comparisons, and the print/parse round
-trip.
+points among radii against exact comparisons, the print/parse round trip,
+and gcds over a deep tower whose suitable primes are rare.
 
     python scripts/stress_identities.py --trials 200 --seed 7
     python scripts/stress_identities.py --suites lemma,oracle --max-deg 15
@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import isqrt
 
 from diffrad import (
+    FactoredPoly,
+    FieldTower,
     Form,
     N_integrated,
     N_tilde_q_integrated,
@@ -49,6 +51,7 @@ from diffrad import (
 from diffrad import divisor
 from diffrad.generators import (
     random_divisor,
+    random_element,
     random_factored,
     random_fermat_instance,
     random_fraction,
@@ -233,6 +236,22 @@ def suite_roundtrip(rng, tower, trials, max_deg):
         assert parse_factored(print_factored(f), tower) == f, print_factored(f)
 
 
+def suite_deep(rng, tower, trials, max_deg):
+    # Q(i, sqrt(17), sqrt(19), sqrt(23), sqrt(29)): c has degree 12 and a
+    # dense leading coefficient, f and g disjoint rational roots, so the gcd
+    # of c*f and c*g is monic c, proved after however many primes it takes.
+    deep = FieldTower.rationals().adjoin_sqrt(-1)
+    for d in (17, 19, 23, 29):
+        deep = deep.adjoin_sqrt(d)
+    for _ in range(trials):
+        lead = deep.element([random_fraction(rng, 9, 4) or 1 for _ in range(deep.dim)])
+        c = Polynomial(deep, [random_element(rng, deep, 4, 0.8) for _ in range(12)] + [lead])
+        roots = rng.sample(range(-30, 31), 9)
+        f = FactoredPoly(deep.one, [(r, 1) for r in roots[:4]]).expand()
+        g = FactoredPoly(deep.rational(-3), [(r, 1) for r in roots[4:]]).expand()
+        assert gcd(c * f, c * g) == c.monic()
+
+
 SUITES = {
     "lemma": suite_lemma,
     "counts": suite_counts,
@@ -244,6 +263,7 @@ SUITES = {
     "ord": suite_ord,
     "roundtrip": suite_roundtrip,
     "placement": suite_placement,
+    "deep": suite_deep,
 }
 
 

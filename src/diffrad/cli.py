@@ -251,6 +251,9 @@ def cmd_divisor(session: Session, args) -> int:
         raise ParseError(
             f"--precision-bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}]"
         )
+    for flag, value in (("--q", args.q), ("--n", args.n)):
+        if value < 1:
+            raise ParseError(f"{flag} must be at least 1")
     radii = _parse_radii(args.radii)
 
     if args.ord_inequality:

@@ -330,7 +330,7 @@ class FieldTower:
         self._box_cache: dict = {}
         # Branch-selected roots by rational radicand, None where there is none.
         self._sqrt_cache: dict = {}
-        # Images in F_p for the modular gcd, found on first use (modular.images).
+        # F_p images for the modular gcd and the next prime to try (modular.images).
         self._fp_images = None
         # Generator names and basis print order, built on first use (parser).
         self._print_memo = None
@@ -630,9 +630,11 @@ class FieldElement:
             end = len(num)
             while end > 1 and num[end - 1] == 0:
                 end -= 1
-            # Trailing zeros dropped, so an element hashes alike in every
-            # tower it lifts to.  Elements are immutable: kept on first use.
-            h = self._hash = hash((num[:end], self._den))
+            # Trailing zeros dropped, so lifts hash alike and a rational element
+            # hashes as the number it equals.  Immutable: kept on first use.
+            den = self._den
+            key = (num[:end], den) if end > 1 else Fraction(num[0], den) if den > 1 else num[0]
+            h = self._hash = hash(key)
         return h
 
     # -- conjugation and embedding ------------------------------------------

@@ -20,34 +20,36 @@ reconstruction.  Nothing here proves a candidate; the callers in `poly` do,
 by exact division over the tower.
 
 Everything here runs on raw integer coordinates and touches no FieldElement
-arithmetic.  The suitable primes of a tower are found lazily, in the fixed
-order of PRIMES, and remembered on the tower.
+arithmetic.  The suitable primes of a tower are found lazily, by a scan
+below 2**62 that has no end (see `images`), and remembered on the tower.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd, isqrt, lcm
 
 from .field import FieldTower, _make
 
-# Primes p = 1 (mod 8*3*5*7*11*13) just below 2**62, largest first.  For
-# each of them -1, 2, 3, 5, 7, 11 and 13 are squares mod p (quadratic
-# reciprocity), so every one suits Q(i, sqrt(2), sqrt(3)) and any tower whose
-# radicands are products of those numbers.
-PRIMES = (
-    4611686018424565081, 4611686018424204721, 4611686018423844361, 4611686018423363881,
-    4611686018423123641, 4611686018422643161, 4611686018422282801, 4611686018421682201,
-    4611686018420961481, 4611686018420360881, 4611686018417838361, 4611686018417478001,
-    4611686018416396921, 4611686018414354881, 4611686018413153681, 4611686018413033561,
-    4611686018412913441, 4611686018412793321, 4611686018411952481, 4611686018411472001,
-    4611686018410871401, 4611686018410511041, 4611686018410030561, 4611686018409429961,
-    4611686018408829361, 4611686018406426961, 4611686018405105641, 4611686018402583121,
-    4611686018402102641, 4611686018400060601, 4611686018398859401, 4611686018398619161,
-)
+_TOP = (1 << 62) - 7  # the largest p = 1 (mod 8) below 2**62
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Suitable primes one gcd tries before its exact fallback: Euclid for
-# `poly.gcd`, the exact chain for `poly.shift_gcd_factor`.
-MAX_PRIMES = 8
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2 to 37, exact for n < 3.18e23."""
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for b in _BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1:
+            for _ in range(s):
+                if x == n - 1:
+                    break
+                x = x * x % n
+            else:
+                return False
+    return True
 
 
 class Image:
@@ -149,23 +151,22 @@ def _image(tower: FieldTower, p: int):
 
 
 def images(tower: FieldTower):
-    """The tower's first MAX_PRIMES images, in PRIMES order.
+    """The tower's images for the primes p = 1 (mod 8) that suit it, from
+    2**62 down, without end (-1 and 2 are squares mod every such p).
 
-    The search runs on the raw radicand coordinates and is memoised on the
-    tower: a generator resumes the scan only past the images found so far.
+    The scan runs on the raw radicand coordinates and is memoised on the
+    tower: a generator resumes it only past the images found so far.
     """
     memo = tower._fp_images
     if memo is None:
-        memo = tower._fp_images = [[], 0]  # found images, next index into PRIMES
+        memo = tower._fp_images = [[], _TOP]  # found images, next candidate
     found = memo[0]
-    for k in range(MAX_PRIMES):
-        while len(found) == k and memo[1] < len(PRIMES):
-            image = _image(tower, PRIMES[memo[1]])
-            memo[1] += 1
-            if image is not None:
+    for k in count():
+        while len(found) == k:
+            p, memo[1] = memo[1], memo[1] - 8
+            image = _is_prime(p) and _image(tower, p)
+            if image:
                 found.append(image)
-        if len(found) == k:
-            return
         yield found[k]
 
 
@@ -292,8 +293,7 @@ def _lift(tower: FieldTower, inputs: list, op):
     skipped when it divides a coefficient denominator.  Yields the
     coefficient lists (ascending, monic) that the images support, each to be
     proved or refuted by exact division; yields [one] only when an image
-    proves the answer constant.  Stops after MAX_PRIMES suitable primes,
-    leaving the rest to the exact fallback.
+    proves the answer constant.  It has no end: the caller stops at a proof.
 
     Branch 0 runs first, so a constant there costs one branch.  Images whose
     degree differs between branches, or exceeds the lowest degree seen, are

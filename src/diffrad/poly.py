@@ -110,7 +110,8 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals its value (see __eq__), so it hashes as that value.
+        return hash(self.coeffs if len(self.coeffs) > 1 else self.constant_value())
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -322,9 +323,17 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     d that divides both a and b exactly is the gcd: it divides gcd(a, b),
     whose degree is at most d.  That division is the proof; a candidate that
     fails it, from an unlucky prime or a premature reconstruction, is
-    dropped and the next prime taken.  When modular.MAX_PRIMES suitable
-    primes prove nothing, monic Euclid over the tower decides.  Constant
-    and linear inputs need no prime.
+    dropped and the next prime taken.  Constant and linear inputs need no
+    prime; every other answer passed the division.
+
+    The loop ends.  `modular.images` never runs out of primes: a prime that
+    splits completely in the normal closure of the tower and Q(zeta_8), and
+    divides no radicand norm or denominator, suits the tower, and such
+    primes have positive density (Chebotarev).  Only finitely many primes
+    are unlucky for given a and b: those dividing a denominator, the norm of
+    a leading coefficient or that of one nonzero maximal minor of S(a, b).
+    Each lucky prime gives the gcd mod ell, so once enough are taken,
+    Chinese remaindering and rational reconstruction return the gcd itself.
     """
     if p.is_zero() or q.is_zero():
         if p.is_zero() and q.is_zero():
@@ -346,15 +355,6 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         g = Polynomial(tower, coeffs)
         if g.degree == 0 or ((p % g).is_zero() and (q % g).is_zero()):
             return g
-    return _euclid(p, q)
-
-
-def _euclid(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic Euclid over the tower, for nonzero a and b of one tower."""
-    while not b.is_zero():
-        r = a % b
-        a, b = b, (r if r.is_zero() else r.monic())
-    return a.monic()
 
 
 def multi_gcd(ps: Sequence[Polynomial]) -> Polynomial:
@@ -397,10 +397,10 @@ def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
     images under every branch, is accepted only if h(z - i*kappa) divides p
     exactly for every i < m: then h divides each p(z+i*kappa), hence G, and
     deg G <= d = deg h makes h = G.  A candidate that fails is dropped and
-    the next prime taken.  After modular.MAX_PRIMES suitable primes without
-    a proof the exact chain G <- gcd(G, G(z+kappa)) over the tower decides,
-    as Euclid backs `gcd`.  A linear p has no two roots kappa apart, so its
-    answer is 1 with no prime taken; m = 1 or a zero shift gives monic p.
+    the next prime taken; the loop ends for the reasons given in `gcd`,
+    with the image chain in place of the image gcd.  A linear p has no two
+    roots kappa apart, so its answer is 1 with no prime taken; m = 1 or a
+    zero shift gives monic p.
     """
     return _shift_gcd_split(p, kappa, m)[0]
 
@@ -427,12 +427,6 @@ def _shift_gcd_split(p: Polynomial, kappa: CoeffLike, m: int) -> tuple[Polynomia
         quot = _divides_shifts(h, g, kappa, m)
         if quot is not None:
             return h, quot
-    h = g
-    for _ in range(1, m):
-        if h.degree == 0:
-            break
-        h = gcd(h, h.taylor_shift(kappa))
-    return h, (g if h.degree == 0 else g.divide_exact(h))
 
 
 def _divides_shifts(h: Polynomial, p: Polynomial, kappa: FieldElement, m: int):

@@ -86,6 +86,8 @@ FLAG_ERRORS = [
     (["divisor", "--divisor", "(0,1)", "--precision-bits", "7"], "--precision-bits must be in"),
     (["divisor", "--divisor", "(0,1)", "--radii", "1,x"], "bad radius 'x'"),
     (["divisor", "--divisor", "(0,1)", "--radii", ","], "--radii needs at least one value"),
+    (["divisor", "--divisor", "(1,1)", "--q", "0"], "--q must be at least 1"),
+    (["divisor", "--divisor", "(1,1)", "--truncation", "--n", "0"], "--n must be at least 1"),
     (["divisor"], "give exactly one of --divisor or --file"),
     (["divisor", "--file", "no-such-divisor-file.txt"], "cannot read no-such-divisor-file.txt"),
     (["divisor", "--ord-inequality"], "--ord-inequality needs factored polynomials"),

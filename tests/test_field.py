@@ -258,6 +258,18 @@ def test_element_hash_consistent_across_lifts(tower):
     assert b == tower.rational(Fraction(5, 3))
 
 
+def test_rational_elements_hash_as_their_value(tower):
+    """Equal values hash alike, so sets and dicts find an element by number."""
+    assert 3 in {tower.rational(3)} and tower.rational(3) in {3}
+    assert tower.rational(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert Fraction(-7, 4) in {tower.rational(Fraction(-7, 4))}
+    assert 0 in {tower.zero} and {tower.one: "one"}[1] == "one"
+    small = FieldTower.rationals().adjoin_sqrt(-1)
+    lifted = small.rational(Fraction(5, 3)).lift_to(tower)
+    assert lifted in {Fraction(5, 3)} and Fraction(5, 3) in {small.rational(Fraction(5, 3))}
+    assert 2 not in {tower.rational(2) + tower.sqrt_gen(0)}
+
+
 def test_element_hash_drops_trailing_zeros_across_lifts(tower):
     # The hash is kept with the element on first use; it must still be the
     # one every lift of the element computes, whichever is hashed first.

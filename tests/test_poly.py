@@ -1,5 +1,6 @@
 """Dense and factored polynomial arithmetic over the tower."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -163,6 +164,15 @@ def test_factored_merges_duplicate_roots(tower):
     assert f.degree == 4
     g = FactoredPoly(tower.one, [(0, 1), (1, 3)])
     assert f == g and hash(f) == hash(g)
+
+
+def test_constant_polynomials_hash_as_their_value(tower):
+    assert Polynomial(tower, [3]) in {3} and 3 in {Polynomial(tower, [3])}
+    assert Polynomial(tower, [Fraction(1, 2)]) in {Fraction(1, 2)}
+    assert Polynomial.zero(tower) in {0} and tower.zero in {Polynomial.zero(tower)}
+    assert Polynomial(tower, [tower.sqrt_gen(1)]) in {tower.sqrt_gen(1)}
+    z = Polynomial.variable(tower)
+    assert len({z + 1, Polynomial(tower, [1, 1]), 1}) == 2
 
 
 def test_factored_holds_one_divisor(any_tower):
@@ -408,7 +418,7 @@ def test_shift_gcd_factor_is_proved_on_the_first_image(any_tower, monkeypatch):
             yield image
 
     def no_gcd(a, b):
-        raise AssertionError("the exact chain ran")
+        raise AssertionError("an exact gcd ran")
 
     monkeypatch.setattr(modular, "images", images)
     monkeypatch.setattr(diffrad.poly, "gcd", no_gcd)
@@ -416,29 +426,11 @@ def test_shift_gcd_factor_is_proved_on_the_first_image(any_tower, monkeypatch):
     assert len(set(primes)) == 1
 
 
-def test_shift_gcd_factor_falls_back_to_the_exact_chain(any_tower, monkeypatch):
-    """With no image at all, the exact chain over the tower decides."""
-    t = any_tower
-    p, kappa = _lattice_poly(t)
-    expected = [naive_poly.shift_gcd(p, kappa, m) for m in (2, 3, 4)]
-    calls = []
-    original = diffrad.poly._euclid
-
-    def euclid(a, b):
-        calls.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(modular, "images", lambda tower: iter(()))
-    monkeypatch.setattr(diffrad.poly, "_euclid", euclid)
-    assert [shift_gcd_factor(p, kappa, m) for m in (2, 3, 4)] == expected
-    assert [g.degree for g in expected] == [4, 2, 0]
-    assert len(calls) == 1 + 2 + 3  # one Euclid per step of each chain
-
-
 def test_shift_gcd_factor_rejects_a_wrong_candidate(any_tower, monkeypatch):
-    """Every lifted candidate h comes back as h(z - kappa): for the true gcd
-    that still divides p, with the right degree, but not p(z + kappa).  The
-    exact divisions refute it, and the answer stays correct."""
+    """The first lifted candidate h of each chain comes back as h(z - kappa):
+    for the true gcd that still divides p, with the right degree, but not
+    p(z + kappa).  The exact divisions refute it, the next prime gives the
+    true gcd, and the answer stays correct."""
     t = any_tower
     p, kappa = _lattice_poly(t)
     expected = [naive_poly.shift_gcd(p, kappa, m) for m in (2, 3)]
@@ -450,13 +442,18 @@ def test_shift_gcd_factor_rejects_a_wrong_candidate(any_tower, monkeypatch):
         if coeffs is None:
             return None
         lifted.append(coeffs)
+        if len(lifted) > 1:
+            return coeffs
         moved = Polynomial(tower, coeffs + [tower.one]).taylor_shift(-kappa)
         return list(moved.coeffs[:-1])
 
     monkeypatch.setattr(modular, "_reconstruct", wrong)
-    assert [shift_gcd_factor(p, kappa, m) for m in (2, 3)] == expected
+    assert shift_gcd_factor(p, kappa, 2) == expected[0]
+    assert len(lifted) == 2
+    lifted.clear()
+    assert shift_gcd_factor(p, kappa, 3) == expected[1]
+    assert len(lifted) == 2
     assert (p % expected[0].taylor_shift(-kappa)).is_zero()
-    assert lifted
 
 
 def test_shift_gcd_factor_of_a_line_takes_no_prime(any_tower):
@@ -540,27 +537,49 @@ def test_gcd_drops_an_unlucky_prime(any_tower):
 
 
 def test_gcd_falls_back_to_euclid(any_tower, monkeypatch):
-    """z - P for P the product of every prime the gcd may try: each image is
-    unlucky, so Euclid decides."""
+    """z - P for P the product of the first 8 image primes: each of those
+    images is unlucky, and no Euclid over the tower steps in.  The scan
+    goes on, and a 9th image proves z + 1."""
     t = any_tower
-    primes = [image.p for image in modular.images(t)]
-    assert len(primes) == modular.MAX_PRIMES
     big = 1
-    for p in primes:
-        big *= p
-    calls = []
-    original = diffrad.poly._euclid
+    for image in itertools.islice(modular.images(t), 8):
+        big *= image.p
+    taken = []
+    original = modular.images
 
-    def euclid(a, b):
-        calls.append((a, b))
-        return original(a, b)
+    def images(tower):
+        for image in original(tower):
+            taken.append(image.p)
+            yield image
 
-    monkeypatch.setattr(diffrad.poly, "_euclid", euclid)
+    monkeypatch.setattr(modular, "images", images)
     z = Polynomial.variable(t)
     assert gcd(z * (z + 1), (z - big) * (z + 1)) == z + 1
-    assert len(calls) == 1
+    assert len(taken) == 9 and big % taken[-1]
+    taken.clear()
     assert gcd(z * (z + 1), (z - big + 1) * (z + 1)) == z + 1
-    assert len(calls) == 1
+    assert len(taken) == 1
+
+
+def _deep_instance(rng):
+    """(c*f, c*g, monic c) over Q(i, sqrt(17), sqrt(19), sqrt(23), sqrt(29)),
+    whose suitable primes are rare.  c has degree 12 and a dense leading
+    coefficient, so monic c has coordinates of hundreds of bits; f and g
+    have disjoint rational roots, so the gcd is monic c by construction."""
+    t = FieldTower.rationals().adjoin_sqrt(-1)
+    for d in (17, 19, 23, 29):
+        t = t.adjoin_sqrt(d)
+    lead = t.element([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+                      for _ in range(t.dim)])
+    c = Polynomial(t, [random_element(rng, t, 4, 0.8) for _ in range(12)] + [lead])
+    roots = rng.sample(range(-30, 31), 9)
+    return c * _product(t, 1, roots[:4]), c * _product(t, -3, roots[4:]), c.monic()
+
+
+def test_gcd_is_proved_on_a_tower_of_large_radicands():
+    a, b, expected = _deep_instance(random.Random(52))
+    assert expected.degree == 12 and max(c._den.bit_length() for c in expected.coeffs) > 200
+    assert gcd(a, b) == expected
 
 
 def _is_prime(n):
@@ -585,18 +604,21 @@ def _is_prime(n):
 
 
 def test_modular_primes():
-    assert list(modular.PRIMES) == sorted(set(modular.PRIMES), reverse=True)
-    for p in modular.PRIMES:
-        assert p < 1 << 62 and p % (8 * 3 * 5 * 7 * 11 * 13) == 1
-        assert _is_prime(p)
-    assert not _is_prime(modular.PRIMES[0] + 2)
+    """Over Q every prime suits, so the images show the scan itself: all
+    primes p = 1 (mod 8) below 2**62, largest first."""
+    scanned = [image.p for image in itertools.islice(modular.images(FieldTower()), 40)]
+    window = range((1 << 62) - 1, scanned[-1] - 1, -1)
+    assert scanned == [n for n in window if n % 8 == 1 and _is_prime(n)]
+    # Strong pseudoprimes to the bases up to 2, 7 and 23 in turn.
+    for n in [*range(2000), *window, 8321, 3215031751, 3825123056546413051]:
+        assert modular._is_prime(n) == _is_prime(n), n
 
 
 def test_tower_images_are_ring_maps(any_tower):
     """Each branch is a ring map; the transform inverts; radicands are squares."""
     t = any_tower
     rng = random.Random(48)
-    for image in list(modular.images(t))[:2]:
+    for image in itertools.islice(modular.images(t), 2):
         p = image.p
         for j in range(t.depth):
             sub = modular._transform(
@@ -616,10 +638,11 @@ def test_tower_images_are_ring_maps(any_tower):
 
 def test_tower_images_are_memoised(any_tower):
     t = any_tower
-    first = list(modular.images(t))
-    assert [a is b for a, b in zip(first, modular.images(t))] == [True] * len(first)
+    first = list(itertools.islice(modular.images(t), 10))
+    again = itertools.islice(modular.images(t), 10)
+    assert [a is b for a, b in zip(first, again)] == [True] * 10
     fresh = FieldTower(t._gens, t._signs)
-    assert [a.p for a in modular.images(fresh)] == [a.p for a in first]
+    assert [a.p for a in itertools.islice(modular.images(fresh), 10)] == [a.p for a in first]
 
 
 def test_shift_window_excess_matches_brute_force(any_tower):
