@@ -7,7 +7,8 @@ properties, the degree bounds for sum identities, oracle agreement between
 the gcd and root routes, factorial power bounds, truncated counting
 domination, the pointwise order inequality, the placement of counting
 points among radii against exact comparisons, the print/parse round trip,
-and gcds over a deep tower whose suitable primes are rare.
+gcds over a deep tower whose suitable primes are rare, and difference
+radicals of subfield input over that tower.
 
     python scripts/stress_identities.py --trials 200 --seed 7
     python scripts/stress_identities.py --suites lemma,oracle --max-deg 15
@@ -236,13 +237,19 @@ def suite_roundtrip(rng, tower, trials, max_deg):
         assert parse_factored(print_factored(f), tower) == f, print_factored(f)
 
 
-def suite_deep(rng, tower, trials, max_deg):
-    # Q(i, sqrt(17), sqrt(19), sqrt(23), sqrt(29)): c has degree 12 and a
-    # dense leading coefficient, f and g disjoint rational roots, so the gcd
-    # of c*f and c*g is monic c, proved after however many primes it takes.
+def _deep_tower():
+    """Q(i, sqrt(17), sqrt(19), sqrt(23), sqrt(29)), whose suitable primes are rare."""
     deep = FieldTower.rationals().adjoin_sqrt(-1)
     for d in (17, 19, 23, 29):
         deep = deep.adjoin_sqrt(d)
+    return deep
+
+
+def suite_deep(rng, tower, trials, max_deg):
+    # c has degree 12 and a dense leading coefficient, f and g disjoint
+    # rational roots, so the gcd of c*f and c*g is monic c, proved after
+    # however many primes it takes.
+    deep = _deep_tower()
     for _ in range(trials):
         lead = deep.element([random_fraction(rng, 9, 4) or 1 for _ in range(deep.dim)])
         c = Polynomial(deep, [random_element(rng, deep, 4, 0.8) for _ in range(12)] + [lead])
@@ -250,6 +257,29 @@ def suite_deep(rng, tower, trials, max_deg):
         f = FactoredPoly(deep.one, [(r, 1) for r in roots[:4]]).expand()
         g = FactoredPoly(deep.rational(-3), [(r, 1) for r in roots[4:]]).expand()
         assert gcd(c * f, c * g) == c.monic()
+
+
+def suite_subfield(rng, tower, trials, max_deg):
+    # Roots in Q(i) on two kappa-lattices, kappa in Q or iQ, over the deep
+    # tower: its 32 sign branches give at most 2 distinct images, so the gcd
+    # route runs a chain per distinct image and must still agree with the
+    # root route.
+    deep = _deep_tower()
+    sub = FieldTower.rationals().adjoin_sqrt(-1)
+    for trial in range(trials):
+        kappa = random_kappa(rng, sub)
+        bases = [random_element(rng, sub, 4, 0.5) for _ in range(2)]
+        entries = [
+            ((rng.choice(bases) + kappa * rng.randint(0, 2)).lift_to(deep), rng.randint(1, 3))
+            for _ in range(rng.randint(3, 7))
+        ]
+        f = FactoredPoly(deep.rational(random_fraction(rng) or 1), entries)
+        kappa = kappa.lift_to(deep)
+        m = 2 + trial % 3
+        via_gcd = diff_radical_m(f.expand(), kappa, m)
+        via_roots = diff_radical_from_roots(f, kappa, m)
+        assert via_gcd.radical == via_roots.radical, print_factored(f)
+        assert via_gcd.cofactor == via_roots.cofactor, print_factored(f)
 
 
 SUITES = {
@@ -264,6 +294,7 @@ SUITES = {
     "roundtrip": suite_roundtrip,
     "placement": suite_placement,
     "deep": suite_deep,
+    "subfield": suite_subfield,
 }
 
 

@@ -16,8 +16,11 @@ G <- gcd(G, G(z+kappa)) of the difference radical, Taylor shifts included,
 in F_p[z].  Both feed one lifting loop (`_lift`): branch 0 first, where a
 constant image settles the answer, then every branch, the inverse transform
 to coordinates mod p, Chinese remaindering over the primes and rational
-reconstruction.  Nothing here proves a candidate; the callers in `poly` do,
-by exact division over the tower.
+reconstruction.  The gcd or chain runs once per distinct image: it depends
+only on p and the residues, so branches whose residues coincide share it.
+Input from a subfield makes whole groups of branches coincide.  Nothing
+here proves a candidate; the callers in `poly` do, by exact division over
+the tower.
 
 Everything here runs on raw integer coordinates and touches no FieldElement
 arithmetic.  The suitable primes of a tower are found lazily, by a scan
@@ -187,7 +190,7 @@ def _branch0(coeffs, image: Image):
 
 
 def _all_branches(coeffs, image: Image):
-    """The polynomial's images under every branch, as one residue list per branch.
+    """The polynomial's images under every branch, as one residue tuple per branch.
 
     Assumes no denominator vanishes (branch 0 was taken first).
     """
@@ -199,7 +202,7 @@ def _all_branches(coeffs, image: Image):
             dinv = pow(c._den, -1, p)
             v = [x * dinv % p for x in v]
         columns.append(v)
-    return [list(row) for row in zip(*columns)]
+    return list(zip(*columns))
 
 
 def gcd_mod(a: list, b: list, p: int) -> list:
@@ -288,16 +291,19 @@ def _lift(tower: FieldTower, inputs: list, op):
     """The lifting loop shared by `gcd_candidates` and `shift_candidates`.
 
     inputs are coefficient lists of tower elements; op(p, *rows) takes their
-    residue lists (ascending) under one branch and returns the monic image
-    there, or None when the prime does not suit the input.  A prime is also
-    skipped when it divides a coefficient denominator.  Yields the
+    residue sequences (ascending) under one branch and returns the monic
+    image there, or None when the prime does not suit the input.  A prime is
+    also skipped when it divides a coefficient denominator.  Yields the
     coefficient lists (ascending, monic) that the images support, each to be
     proved or refuted by exact division; yields [one] only when an image
     proves the answer constant.  It has no end: the caller stops at a proof.
 
-    Branch 0 runs first, so a constant there costs one branch.  Images whose
-    degree differs between branches, or exceeds the lowest degree seen, are
-    unlucky and dropped; a lower degree restarts the Chinese remaindering.
+    Branch 0 runs first, so a constant there costs one branch.  Then op runs
+    once per distinct tuple of rows: a function of (p, rows) alone gives
+    equal rows an equal image, whatever the tower and however the branches
+    came to agree.  Images whose degree differs between branches, or exceeds
+    the lowest degree seen, are unlucky and dropped; a lower degree restarts
+    the Chinese remaindering.
     """
     best = None  # the image degree the accumulated residues belong to
     acc = m = None
@@ -312,10 +318,16 @@ def _lift(tower: FieldTower, inputs: list, op):
             return
         if best is not None and len(g0) > best:
             continue
-        rest = [op(p, *rows) for rows in zip(*[_all_branches(c, image)[1:] for c in inputs])]
-        if None in rest:
+        # Branches with equal rows share one op result; nothing mutates it.
+        per_branch = zip(*[_all_branches(c, image) for c in inputs])
+        memo = {next(per_branch): g0}
+        branches = [g0]
+        for rows in per_branch:
+            if rows not in memo:
+                memo[rows] = op(p, *rows)
+            branches.append(memo[rows])
+        if None in branches:
             continue
-        branches = [g0] + rest
         sizes = {len(g) for g in branches}
         if min(sizes) == 1:
             yield [tower.one]

@@ -1,5 +1,6 @@
 """Dense and factored polynomial arithmetic over the tower."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from diffrad import (
     FactoredPoly,
     FieldTower,
     Polynomial,
+    diff_radical_m,
     divisor_of,
     gcd,
     modular,
@@ -580,6 +582,121 @@ def test_gcd_is_proved_on_a_tower_of_large_radicands():
     a, b, expected = _deep_instance(random.Random(52))
     assert expected.degree == 12 and max(c._den.bit_length() for c in expected.coeffs) > 200
     assert gcd(a, b) == expected
+
+
+# -- one op call per distinct branch image --------------------------------------
+
+
+def _spy_op_calls(monkeypatch):
+    """Every `modular._lift` run as (tower, inputs, op calls per prime)."""
+    runs = []
+    original = modular._lift
+
+    def lift(tower, inputs, op):
+        calls = collections.Counter()
+        runs.append((tower, inputs, calls))
+
+        def spy(p, *rows):
+            calls[p] += 1
+            return op(p, *rows)
+
+        return original(tower, inputs, spy)
+
+    monkeypatch.setattr(modular, "_lift", lift)
+    return runs
+
+
+def _distinct_branch_rows(tower, inputs, p):
+    image = next(image for image in modular.images(tower) if image.p == p)
+    return len(set(zip(*[modular._all_branches(c, image) for c in inputs])))
+
+
+def _subfield_calls(t):
+    """name -> (call whose every prime reaches the all-branch step, the op
+    calls per prime on the default tower, where that count is exact)."""
+    z = Polynomial.variable(t)
+    i = t.sqrt_gen(0)
+    rational = _product(t, 3, [0, 0, 1, 1, 2])
+    gaussian = _product(t, 1, [i, i, i + 1, Fraction(1, 2)])
+    common = _product(t, i + 2, [i - 1, -i, Fraction(5, 3) * i])
+    lattice, kappa = _lattice_poly(t)
+    return {
+        "rational shift": (lambda: shift_gcd_factor(rational, 1, 2), 1),
+        "Q(i) shift": (lambda: shift_gcd_factor(gaussian, 1, 2), 2),
+        "Q(i) gcd": (lambda: gcd(common * (z - 4), common * (z + i)), 2),
+        "Q(i, sqrt 3) shift": (lambda: shift_gcd_factor(lattice, kappa, 2), None),
+    }
+
+
+def test_lift_runs_op_once_per_distinct_branch_image(any_tower, monkeypatch):
+    """Branches whose residue rows coincide share one op call, found by the
+    rows' content: on the nested tower a root's image depends on the signs
+    of the earlier roots.  On the default tower the 8 branches collapse to
+    the subfield's 1, 2 or 4."""
+    t = any_tower
+    runs = _spy_op_calls(monkeypatch)
+    for name, (call, exact) in _subfield_calls(t).items():
+        runs.clear()
+        assert call().degree >= 1, name
+        [(tower, inputs, calls)] = runs
+        assert calls, name
+        for p, n in calls.items():
+            assert n == _distinct_branch_rows(tower, inputs, p), name
+            if t == diffrad.default_tower():
+                assert (n == exact) if exact else (n <= 4), name
+
+
+def _subfield_lift(q, t):
+    return Polynomial(t, [c.lift_to(t) for c in q.coeffs])
+
+
+def _subfield_pairs():
+    """(subtower S, tower T) with S a prefix of T."""
+    q_i = FieldTower.rationals().adjoin_sqrt(-1)
+    deep = q_i
+    for d in (17, 19, 23, 29):
+        deep = deep.adjoin_sqrt(d)
+    default = diffrad.default_tower()
+    return {
+        "Q in default": (FieldTower.rationals(), default),
+        "Q(i) in default": (q_i, default),
+        "Q(i) in deep": (q_i, deep),
+    }
+
+
+def _lattice_product(rng, t, kappa):
+    """Roots on two kappa-lattices, three points each, with multiplicities."""
+    bases = [random_element(rng, t, 4, 0.5) for _ in range(2)]
+    entries = [(rng.choice(bases) + kappa * rng.randint(0, 2), rng.randint(1, 3))
+               for _ in range(rng.randint(3, 6))]
+    return FactoredPoly(t.rational(rng.choice([1, -2, Fraction(3, 2)])), entries).expand()
+
+
+@pytest.mark.parametrize("name", sorted(_subfield_pairs()))
+def test_subfield_input_gives_the_subfield_answer(name):
+    """gcd, shift_gcd_factor and diff_radical_m over T, on input from S,
+    are the answers over S lifted into T."""
+    sub, t = _subfield_pairs()[name]
+    kappas = [sub.rational(Fraction(-3, 2))] + [sub.sqrt_gen(j) / 2 for j in range(sub.depth)]
+    rng = random.Random(53)
+    shift_degrees = set()
+    for trial in range(8):
+        kappa = kappas[trial % len(kappas)]
+        m = 2 + trial % 3
+        p, q = (_lattice_product(rng, sub, kappa) for _ in range(2))
+        a, b = p * (q + 1), q * (q + 1)
+        assert gcd(_subfield_lift(a, t), _subfield_lift(b, t)) == _subfield_lift(gcd(a, b), t)
+        p_t, kappa_t = _subfield_lift(p, t), kappa.lift_to(t)
+        expected = _subfield_lift(shift_gcd_factor(p, kappa, m), t)
+        assert shift_gcd_factor(p_t, kappa_t, m) == expected
+        over_t = diff_radical_m(p_t, kappa_t, m)
+        over_s = diff_radical_m(p, kappa, m)
+        assert over_t.radical == _subfield_lift(over_s.radical, t)
+        assert over_t.cofactor == _subfield_lift(over_s.cofactor, t)
+        assert over_t.n_tilde == over_s.n_tilde
+        assert over_t.leading == over_s.leading.lift_to(t)
+        shift_degrees.add(over_s.cofactor.degree)
+    assert 0 in shift_degrees and max(shift_degrees) >= 2
 
 
 def _is_prime(n):
