@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .divisor import (
     DEFAULT_PRECISION_BITS,
@@ -65,8 +65,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     tower: FieldTower
     kappa: FieldElement
     json_output: bool
@@ -163,7 +162,11 @@ def _report_lines(report: CheckReport) -> list[str]:
 
 
 def _emit_report(session: Session, command: str, report: CheckReport) -> int:
-    _emit(session, command, report.to_json_dict(), _report_lines(report))
+    # Only the output that is printed gets built.
+    if session.json_output:
+        _emit(session, command, report.to_json_dict(), [])
+    else:
+        _emit(session, command, {}, _report_lines(report))
     return report.exit_code()
 
 

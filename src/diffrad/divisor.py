@@ -47,11 +47,11 @@ aggregate reads a table of the candidate points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DependentInputsError, ZeroSumError
 from .field import FieldElement, compare_real, scaled_box
@@ -107,8 +107,7 @@ def _truncated_weights(D: Divisor, kappa, q: int) -> list[tuple[FieldElement, in
     return D.window_excess(kappa, q + 1)
 
 
-@dataclass(frozen=True)
-class CountingValue:
+class CountingValue(NamedTuple):
     """Exact count the integrand jumps through, plus its certified integral."""
 
     n_value: int
@@ -532,8 +531,9 @@ def check_ord_inequality(
                     candidates.add(w + kappa_el * i)
         ordered = sorted(candidates, key=point_key(candidates))
 
-        # g_1 .. g_m answer from their root data, the dense sum g_{m+1} by Horner.
-        ords = [g.ord_at for g in gs] + [total.ord_at]
+        # g_1 .. g_m answer from their root data, the dense sum g_{m+1} by
+        # Horner, once per point: lhs_w and the shift windows ask again.
+        ords = [g.ord_at for g in gs] + [functools.cache(total.ord_at)]
 
         violations = []
         point_rows = []

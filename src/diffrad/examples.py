@@ -9,9 +9,8 @@ fermat).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .fermat import FermatInstance, Form, check_fermat_theorem
 from .field import default_tower
@@ -154,8 +153,7 @@ def _factorial_square_identity() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     summary: str
     build: Callable[[], dict]
@@ -245,8 +243,7 @@ EXPECTED: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     values: dict
     mismatches: tuple[str, ...]

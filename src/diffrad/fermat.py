@@ -13,7 +13,6 @@ Checked statements, all with exact arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -40,27 +39,36 @@ def factorial_poly(p: Polynomial, kappa, n: int) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class FermatInstance:
-    """A candidate solution: bases ps, shift kappa, exponent n, equation form."""
-
+class _InstanceFields(NamedTuple):
     ps: tuple[Polynomial, ...]
     kappa: FieldElement
     n: int
     form: Form
 
-    def __post_init__(self):
-        if not self.ps:
+
+class FermatInstance(_InstanceFields):
+    """A candidate solution: bases ps, shift kappa, exponent n, equation form."""
+
+    __slots__ = ()
+
+    def __new__(cls, ps, kappa, n, form):
+        if not ps:
             raise ValueError("an instance needs at least one base polynomial")
-        require_order(self.n, 1, "exponent n")
-        # The dataclass is frozen; store kappa coerced into the bases' tower.
-        object.__setattr__(self, "kappa", require_shift(self.ps[0].tower, self.kappa, "instance"))
-        if self.form == Form.XYZ and len(self.ps) != 3:
+        require_order(n, 1, "exponent n")
+        # kappa is stored coerced into the bases' tower.
+        kappa = require_shift(ps[0].tower, kappa, "instance")
+        if form == Form.XYZ and len(ps) != 3:
             raise ValueError("form xyz takes exactly three bases")
-        if self.form == Form.SUM_FACTORIAL and len(self.ps) < 3:
+        if form == Form.SUM_FACTORIAL and len(ps) < 3:
             raise ValueError("form sum takes m + 1 >= 3 bases")
-        if self.form == Form.SUM_ONE and len(self.ps) < 2:
+        if form == Form.SUM_ONE and len(ps) < 2:
             raise ValueError("form sum1 takes m >= 2 bases")
+        return tuple.__new__(cls, (ps, kappa, n, form))
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here: check the new fields as __new__ does.
+        return cls(*fields)
 
     @property
     def m(self) -> int:
@@ -169,6 +177,6 @@ def check_fermat_theorem(inst: FermatInstance, coprimality: str = "setwise") -> 
         artifacts["corollary_bound"] = bound.corollary
 
     lhs = inst.n
-    return replace(
-        report, lhs=lhs, rhs=rhs, holds=Fraction(lhs) <= Fraction(rhs), artifacts=artifacts
+    return report._replace(
+        lhs=lhs, rhs=rhs, holds=Fraction(lhs) <= Fraction(rhs), artifacts=artifacts
     )

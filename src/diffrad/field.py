@@ -308,13 +308,16 @@ def _basis_table(gens):
 class FieldTower:
     """Q with a fixed chain of adjoined square roots.
 
-    Towers are immutable; adjoining returns a new tower whose generator list
+    Towers are immutable; adjoining returns a tower whose generator list
     extends this one, so elements of the smaller tower lift losslessly.
+    rationals() is one shared Q and each tower builds its child for a
+    radicand once, so a chain rebuilt from the same generators is the same
+    object, memos included.  FieldTower(gens, signs) builds a fresh one.
     """
 
     __slots__ = (
         "_gens", "_signs", "_table", "_tden", "_flips", "_pad", "_box_cache", "_sqrt_cache",
-        "_fp_images", "_print_memo", "_hash",
+        "_fp_images", "_print_memo", "_children", "_hash",
     )
 
     def __init__(self, gens=(), signs=()):
@@ -334,11 +337,13 @@ class FieldTower:
         self._fp_images = None
         # Generator names and basis print order, built on first use (parser).
         self._print_memo = None
+        # Towers adjoin_sqrt built on this one, by canonical radicand.
+        self._children: dict = {}
         self._hash = hash(self._gens)
 
     @classmethod
     def rationals(cls) -> "FieldTower":
-        return cls()
+        return _RATIONALS
 
     @property
     def depth(self) -> int:
@@ -399,8 +404,14 @@ class FieldTower:
         `d` must be a nonzero non-square element of this tower, fixed by
         conjugation.  The embedding of the new root is the positive real root
         for positive `d` and the root with positive imaginary part otherwise.
+        The tower is built on the first call for its radicand and returned
+        again after; a radicand that raises is checked anew on every call.
         """
         elt = self._coerce(d)
+        key = (elt._num, elt._den)
+        child = self._children.get(key)
+        if child is not None:
+            return child
         if elt.is_zero():
             raise ZeroRadicandError("cannot adjoin sqrt(0)")
         if not elt.is_real():
@@ -414,7 +425,8 @@ class FieldTower:
                 root=_make(self, *root),
             )
         sign = _sign(elt._num, self)
-        return FieldTower(self._gens + ((elt._num, elt._den),), self._signs + (sign,))
+        child = self._children[key] = FieldTower(self._gens + (key,), self._signs + (sign,))
+        return child
 
     def try_sqrt(self, x: Scalar) -> Optional["FieldElement"]:
         """Some square root of `x` inside the tower, or None."""
@@ -738,14 +750,9 @@ def compare_real(a: FieldElement, b: Scalar) -> int:
     return diff.sign_real()
 
 
-_DEFAULT: Optional[FieldTower] = None
+_RATIONALS = FieldTower()
 
 
 def default_tower() -> FieldTower:
-    """The session default Q(i, sqrt(2), sqrt(3))."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = (
-            FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2).adjoin_sqrt(3)
-        )
-    return _DEFAULT
+    """The session default Q(i, sqrt(2), sqrt(3)), the same object on every call."""
+    return FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2).adjoin_sqrt(3)

@@ -58,7 +58,7 @@ def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
         return mat[0][0]
     m = [row[:] for row in mat]
     sign = 1
-    prev = Polynomial(tower, (1,))
+    prev = None  # the last pivot; 1 in round 0, which therefore divides by nothing
     zero = Polynomial.zero(tower)
     for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
@@ -69,7 +69,8 @@ def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divide_exact(prev)
+                entry = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = entry if prev is None else entry.divide_exact(prev)
             m[i][k] = zero
         prev = m[k][k]
     det = m[n - 1][n - 1]

@@ -9,7 +9,7 @@ a root route on factored input; the suite holds them equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ZeroPolynomialError
 from .poly import (
@@ -22,8 +22,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class RadicalResult:
+class RadicalResult(NamedTuple):
     """monic(p) = cofactor * radical; leading restores the input scale."""
 
     radical: Polynomial

@@ -11,10 +11,9 @@ chain_report, the one place that stops at the first failed hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Generator, Optional, Union
+from typing import Generator, NamedTuple, Optional, Union
 
 
 class Statement(str, Enum):
@@ -27,8 +26,7 @@ class Statement(str, Enum):
     FERMAT_SUM_MULTI = "FermatSumM"
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -37,14 +35,31 @@ class Hypothesis:
 Bound = Union[int, Fraction, None]
 
 
-@dataclass
-class CheckReport:
+class _ReportFields(NamedTuple):
     statement: Statement
     hypotheses: tuple[Hypothesis, ...]
-    lhs: Bound = None
-    rhs: Bound = None
-    holds: Optional[bool] = None
-    artifacts: dict = field(default_factory=dict)
+    lhs: Bound
+    rhs: Bound
+    holds: Optional[bool]
+    artifacts: dict
+
+
+class CheckReport(_ReportFields):
+    """A check's hypotheses in order, then its verdict.  Frozen: _replace
+    gives a copy with fields changed."""
+
+    __slots__ = ()
+
+    def __new__(cls, statement, hypotheses, lhs=None, rhs=None, holds=None, artifacts=None):
+        # Each report gets its own artifacts dict, never a shared default.
+        if artifacts is None:
+            artifacts = {}
+        return tuple.__new__(cls, (statement, hypotheses, lhs, rhs, holds, artifacts))
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds its copy here, so it goes through __new__ too.
+        return cls(*fields)
 
     @property
     def hypotheses_ok(self) -> bool:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffrad import cli, default_tower, errors, field
+from diffrad import cli, default_tower, errors, field, modular
 from diffrad.cli import main
 from diffrad.examples import EXPECTED
 
@@ -293,6 +293,20 @@ def test_counting_runs_without_mpmath():
     assert "bound holds" in proc.stdout
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI call first pays for its imports; the records are NamedTuples,
+    so dataclasses, and inspect with ast, dis and tokenize behind it, stay out."""
+    code = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import diffrad.cli",
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+    ])
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("bits, code", [(-5, 3), (0, 3), (7, 3), (8, 0), (1024, 0), (1025, 3)])
 def test_precision_bits_range(capsys, bits, code):
     argv = ["divisor", "--divisor", "(1+sqrt(2),1),(3,2)", "--truncation", "--q", "2", "--n", "2"]
@@ -511,3 +525,59 @@ def test_power_cap_is_a_parse_error(capsys, expr):
     assert err.count("\n") == 1
     code, out = run(capsys, ["radical", "(z^2)^100"])
     assert code == 0 and "input: z^200" in out
+
+
+def test_adjoin_reuses_the_tower_and_its_prime_scan(monkeypatch, capsys):
+    """Each call rebuilds its tower from --adjoin, and gets the same object
+    back, so the primes are scanned for it in the first call only."""
+    monkeypatch.setattr(default_tower(), "_children", {})
+    scanned = []
+    image = modular._image
+
+    def spy(tower, p):
+        scanned.append(p)
+        return image(tower, p)
+
+    monkeypatch.setattr(modular, "_image", spy)
+    argv = ["radical", "(z-1)*(z-2)*(z+sqrt(17))", "--json"]
+    argv += ["--adjoin", "17", "--adjoin", "19", "--adjoin", "23"]
+    per_call, outputs = [], []
+    for _ in range(3):
+        before = len(scanned)
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        per_call.append(len(scanned) - before)
+        outputs.append(doc)
+    assert per_call[0] > 0 and per_call[1:] == [0, 0]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]["session"]["tower"] == "Q(i, sqrt(2), sqrt(3), sqrt(17), sqrt(19), sqrt(23))"
+
+
+REPORT_COMMANDS = [
+    ["mason", "z^2", "2*z+1", "(z+1)^2"],
+    ["mason", "z^2", "2*z+1", "(z+1)^2", "--multi"],
+    ["mason", "z", "z^2", "z+z^2", "--multi"],  # hypotheses unmet
+    ["fermat", "z", "1", "z+1", "--n", "1", "--form", "xyz"],
+    ["divisor", "--ord-inequality", "1;(0,2)", "1;(-2,2)"],
+    ["divisor", "--divisor", "(1+sqrt(2),1),(3,2)", "--truncation", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    REPORT_COMMANDS,
+    ids=["mason", "mason-multi", "mason-multi-unmet", "fermat", "ord-inequality", "truncation"],
+)
+def test_report_output_is_built_only_for_its_mode(monkeypatch, capsys, argv):
+    code, text = run(capsys, argv)
+    json_code, doc = run_json(capsys, argv)
+    assert code == json_code
+
+    def unused(*args):
+        raise AssertionError("built output that is not printed")
+
+    monkeypatch.setattr(cli, "_report_lines", unused)
+    assert run_json(capsys, argv) == (code, doc)
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.CheckReport, "to_json_dict", unused)
+    assert run(capsys, argv) == (code, text)

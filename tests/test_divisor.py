@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import diffrad.divisor
+import diffrad.poly
 import naive_poly
 from diffrad import (
     DependentInputsError,
@@ -109,6 +110,27 @@ def test_ord_inequality_points_are_in_coordinate_order(any_tower, monkeypatch):
         assert report.hypotheses_ok
         candidates = {w + kappa * i for g in gs for w in g.roots() for i in range(m)}
         assert visited == sorted(candidates, key=lambda e: e.coords)
+
+
+def test_ord_inequality_evaluates_each_dense_order_once(tower, monkeypatch):
+    """The dense sum and the Casoratian are Horner-evaluated once per point,
+    although lhs_w and the shift windows both ask for ord_w of the sum."""
+    asked = []
+    dense_ord_at = diffrad.poly.Polynomial.ord_at
+
+    def spy(p, w):
+        asked.append((id(p), w))
+        return dense_ord_at(p, w)
+
+    monkeypatch.setattr(diffrad.poly.Polynomial, "ord_at", spy)
+    rng = random.Random(61)
+    for m in (2, 3, 2, 3):
+        kappa = random_kappa(rng, tower)
+        gs = random_ord_inputs(rng, tower, kappa, m)
+        asked.clear()
+        report = check_ord_inequality(gs, kappa)
+        assert report.hypotheses_ok
+        assert len(asked) == len(set(asked)) == 2 * report.artifacts["points_checked"]
 
 
 def test_rejects_bad_multiplicities_and_points(tower):

@@ -98,6 +98,29 @@ def test_instance_validation(tower):
     assert FermatInstance((z, z, z), one, 1, Form.XYZ).statement() == Statement.FERMAT_XYZ
 
 
+def test_instance_checks_in_order(tower):
+    """Bases, then exponent, then shift, then the form's base count: with
+    several faults the first check raises, with the same type and message."""
+    z = Polynomial.variable(tower)
+    cases = [
+        (((), 0, 0, Form.XYZ), ValueError, "an instance needs at least one base polynomial"),
+        (((z,), 0, 0, Form.XYZ), ValueError, "exponent n must be a positive integer, got 0"),
+        (((z,), 0, 1, Form.XYZ), ZeroShiftError, "instance needs a nonzero shift"),
+        (((z,), 1, 1, Form.XYZ), ValueError, "form xyz takes exactly three bases"),
+        (((z, z), 1, 1, Form.SUM_FACTORIAL), ValueError, "form sum takes m + 1 >= 3 bases"),
+        (((z,), 1, 1, Form.SUM_ONE), ValueError, "form sum1 takes m >= 2 bases"),
+    ]
+    valid = FermatInstance((z, z, z), 1, 1, Form.XYZ)
+    for args, error, message in cases:
+        # _replace checks its copy the same way.
+        changed = dict(zip(valid._fields, args))
+        for build in (lambda: FermatInstance(*args), lambda: valid._replace(**changed)):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert type(caught.value) is error and str(caught.value) == message
+    assert valid._replace(kappa=2).kappa.tower is tower
+
+
 def test_instance_coerces_the_shift(tower):
     z = Polynomial.variable(tower)
     for kappa in (1, Fraction(1, 2), tower.sqrt_gen(0)):
@@ -107,6 +130,10 @@ def test_instance_coerces_the_shift(tower):
     assert FermatInstance((z, z, z), 1, 2, Form.XYZ) == FermatInstance(
         (z, z, z), tower.one, 2, Form.XYZ
     )
+    by_name = FermatInstance(ps=(z, z, z), kappa=Fraction(2), n=2, form=Form.XYZ)
+    assert by_name == FermatInstance((z, z, z), 2, 2, Form.XYZ)
+    assert hash(by_name) == hash(FermatInstance((z, z, z), tower.rational(2), 2, Form.XYZ))
+    assert by_name.kappa.tower is tower
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroShiftError):
             FermatInstance((z, z, z), zero, 1, Form.XYZ)

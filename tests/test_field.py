@@ -112,7 +112,9 @@ def test_enclosure_precision_is_capped(tower, monkeypatch):
         tower.sqrt_gen(1).embed(field.MAX_ENCLOSURE_BITS)
     # A radicand whose bounds never clear 0: the tables stop before its root,
     # and an element that uses the root fails every precision up to the cap.
-    fresh = FieldTower.rationals().adjoin_sqrt(2)
+    # A fresh object: the patched _linear must not reach a shared tower's memo.
+    s2 = FieldTower.rationals().adjoin_sqrt(2)
+    fresh = FieldTower(s2._gens, s2._signs)
     precs = []
     exact = FieldTower._bounds
 
@@ -209,6 +211,27 @@ def test_adjoin_rejects_degenerate_radicands(tower):
         tower.adjoin_sqrt(6)  # sqrt(2)*sqrt(3) already in the tower
     with pytest.raises(NonRealRadicandError):
         tower.adjoin_sqrt(tower.one + tower.sqrt_gen(0))
+
+
+def test_adjoin_returns_one_tower_per_generator_chain(tower):
+    q = FieldTower.rationals()
+    assert q is FieldTower.rationals() and q.depth == 0
+    chain = q.adjoin_sqrt(-1).adjoin_sqrt(2).adjoin_sqrt(3)
+    assert chain is tower
+    # One key per canonical radicand, however it was spelled.
+    big = tower.adjoin_sqrt(5)
+    assert tower.adjoin_sqrt(Fraction(10, 2)) is big
+    assert tower.adjoin_sqrt(tower.rational(5)) is big
+    fresh = FieldTower(big._gens, big._signs)
+    assert fresh == big and fresh is not big and fresh._fp_images is None
+    # A radicand that fails is checked, and raises, on every call.
+    children = dict(tower._children)
+    for _ in range(2):
+        for d, error in ((0, ZeroRadicandError), (4, SquareRadicandError),
+                         (6, SquareRadicandError)):
+            with pytest.raises(error):
+                tower.adjoin_sqrt(d)
+    assert tower._children == children
 
 
 def test_adjoin_extends_and_lifts(tower):
@@ -360,7 +383,9 @@ SQRT_GRID = [0, 1, -1, 2, -2, Fraction(1, 4), Fraction(-1, 4), 8, -12, 5, Fracti
 
 
 def _fresh_default():
-    return FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2).adjoin_sqrt(3)
+    """A tower equal to the default one, with none of its memos."""
+    t = default_tower()
+    return FieldTower(t._gens, t._signs)
 
 
 def _check_branch(q, root):

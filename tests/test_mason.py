@@ -50,6 +50,26 @@ DEGREE_PATTERNS = [
 ]
 
 
+@pytest.mark.parametrize("m, divisions", [(2, 0), (3, 1), (4, 5)])
+def test_bareiss_divides_by_no_constant_one(tower, monkeypatch, m, divisions):
+    """Round k of Bareiss divides (m-1-k)^2 entries by the previous pivot;
+    round 0 has none, so sum_{k=1}^{m-2} (m-1-k)^2 exact divisions remain."""
+    calls = []
+    divide_exact = Polynomial.divide_exact
+
+    def spy(p, d):
+        calls.append(d)
+        return divide_exact(p, d)
+
+    monkeypatch.setattr(Polynomial, "divide_exact", spy)
+    z = Polynomial.variable(tower)
+    ps = [z, z * z + 1, z ** 3 - 2, z ** 4 + z][:m]
+    det = casoratian(ps, 1)
+    monkeypatch.undo()
+    assert det == naive_poly.casoratian(ps, 1) and not det.is_zero()
+    assert len(calls) == divisions
+
+
 def test_casoratian_matches_cofactor_expansion(tower):
     rng = random.Random(71)
     for trial in range(40):

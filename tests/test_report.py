@@ -1,8 +1,11 @@
-"""The hypothesis chain: every checker stops at its first failed hypothesis."""
+"""The hypothesis chain, where every checker stops at its first failed
+hypothesis, and the frozen result records."""
 
 import pytest
 
 from diffrad import (
+    CheckReport,
+    CountingValue,
     FactoredPoly,
     FermatInstance,
     Form,
@@ -11,8 +14,11 @@ from diffrad import (
     check_mason_multi,
     check_mason_triple,
     check_ord_inequality,
+    diff_radical,
     verify_fermat,
 )
+from diffrad.cli import Session
+from diffrad.examples import FIXTURES, FixtureResult
 from diffrad.report import Hypothesis, Statement, chain_report
 
 
@@ -79,3 +85,44 @@ def test_chain_report_computes_nothing_after_a_failure():
     assert reached == ["second", "verdict"]
     assert (report.lhs, report.rhs, report.holds, report.artifacts) == (1, 2, True, {"x": 1})
     assert report.exit_code() == 0
+
+
+def test_failed_reports_never_share_artifacts(tower):
+    first = FAILING_AT["check_mason_triple", 1](tower)
+    second = FAILING_AT["check_mason_multi", 2](tower)
+    assert first.artifacts == second.artifacts == {}
+    assert first.artifacts is not second.artifacts
+    bare, again = (CheckReport(Statement.MASON_TRIPLE, ()) for _ in range(2))
+    assert bare.artifacts == again.artifacts == {} and bare.artifacts is not again.artifacts
+    given = {"x": 1}
+    assert CheckReport(Statement.MASON_TRIPLE, (), artifacts=given).artifacts is given
+    assert first._replace(artifacts=None).artifacts == {}
+
+
+def test_replace_gives_a_changed_report(tower):
+    bases = [_z(tower), _c(tower, 1), _z(tower) + 1]
+    base = verify_fermat(_fermat(tower, bases))
+    full = check_fermat_theorem(_fermat(tower, bases))
+    assert type(full) is CheckReport and full.hypotheses == base.hypotheses
+    assert (base.holds, full.holds, full.lhs) == (None, True, 1)
+    assert "max_deg" not in base.artifacts and full.artifacts["max_deg"] == 1
+
+
+def test_records_are_frozen(tower):
+    z = _z(tower)
+    fixture = FIXTURES[0]
+    records = [
+        (Hypothesis("h", True), "passed"),
+        (FAILING_AT["check_mason_triple", 1](tower), "holds"),
+        (diff_radical(z * (z + 1), 1), "radical"),
+        (CountingValue(1, 0.5, 0.0), "error"),
+        (_fermat(tower, [z, _c(tower, 1), z + 1]), "kappa"),
+        (fixture, "build"),
+        (FixtureResult(fixture.name, {}, ()), "mismatches"),
+        (Session(tower, tower.one, False, None, "setwise"), "json_output"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
