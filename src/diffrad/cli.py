@@ -32,6 +32,7 @@ from .fermat import FermatInstance, Form, check_fermat_theorem
 from .field import FieldElement, FieldTower, default_tower
 from .mason import check_mason_multi, check_mason_triple
 from .parser import (
+    MAX_POWER,
     iter_objects,
     parse_constant,
     parse_factored,
@@ -245,6 +246,9 @@ def cmd_fermat(session: Session, args) -> int:
         inst = FermatInstance(tuple(polys), session.kappa, args.n, form)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    # The factorial powers have degree n * deg: capped like a parsed power.
+    if args.n * max(1, *(p.degree for p in polys)) > MAX_POWER:
+        raise ParseError(f"--n times the largest base degree is capped at {MAX_POWER}")
     report = check_fermat_theorem(inst, coprimality=session.coprimality)
     return _emit_report(session, "fermat", report)
 
@@ -257,6 +261,8 @@ def cmd_divisor(session: Session, args) -> int:
     for flag, value in (("--q", args.q), ("--n", args.n)):
         if value < 1:
             raise ParseError(f"{flag} must be at least 1")
+        if value > MAX_POWER:
+            raise ParseError(f"{flag} is capped at {MAX_POWER}")
     radii = _parse_radii(args.radii)
 
     if args.ord_inequality:

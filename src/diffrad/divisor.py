@@ -21,11 +21,12 @@ Every count runs one kernel, a point table (_Table) per call.  The table
 is the one home of the radii: it converts them to Fractions, deduplicates
 and sorts them, and rejects an empty list or a negative radius.  It places
 each distinct point once among them and encloses each distinct log|w|^2
-once.  A placement reads one certified integer enclosure of |w|^2 and
-decides a radius by it only when the radius lies strictly outside; ties
-(rational |w|^2 only) are decided exactly, and a radius inside the
-enclosure goes to the exact sign recursion (field.compare_real), so every
-verdict stays exact.  A sweep is a weighted prefix sum over the table:
+once, both from one certified integer box of each distinct |w|^2
+(field.scaled_box; a rational value is its own zero-width box).  A
+placement decides a radius by the box only when the radius lies strictly
+outside it; ties (rational |w|^2 only) are decided exactly, and a radius
+inside the box goes to the exact sign recursion (field.compare_real), so
+every verdict stays exact.  A sweep is a weighted prefix sum over the table:
 one weight list gives per-radius masses and log sums, and so n(r) and N(r)
 at every radius.  No floating point enters before its last step, which
 rounds the enclosure of each radius to a value and an error bound.
@@ -53,7 +54,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DependentInputsError, ZeroSumError
+from .errors import DependentInputsError, EnclosureWidthError, ZeroSumError
 from .field import FieldElement, compare_real, scaled_box
 from .mason import casoratian
 from .poly import (
@@ -189,16 +190,17 @@ class _Table:
     closed disc holds w (len(radii) when none does), and tie says that w lies
     on that circle, so its open discs start one radius later.  Each distinct
     point w != 0 is placed once, the first time any sweep asks for it, by a
-    binary search against the squared radii over one integer enclosure of
-    |w|^2: the value itself when it is rational, which also decides ties,
-    and otherwise field.scaled_box at the working precision _bits.  A radius
-    strictly outside the enclosure is decided by two integer products; only
-    a radius inside it, or an element the bounds table cannot enclose,
-    goes to the exact norm recursion (compare_real).  An irrational |w|^2
-    never equals a rational r^2, so no tie is lost.  Each distinct |w|^2,
-    and each radius, is given one logarithm enclosure: an integer pair
-    (lo, hi) at the scale 2**-prec (_log_fixed).  Every count and sweep of
-    the call reads the same table.
+    binary search against the squared radii over the box of |w|^2.  Each
+    distinct |w|^2 is boxed once (_box): the value itself when it is
+    rational, a zero-width box that also decides ties, and otherwise
+    field.scaled_box at the width _bits.  A radius strictly outside the box
+    is decided by two integer products; only a radius inside it, or a value
+    the kernel cannot box within its cap, goes to the exact norm recursion
+    (compare_real).  An irrational |w|^2 never equals a rational r^2, so no
+    tie is lost.  Each distinct |w|^2, and each radius, is given one
+    logarithm enclosure: an integer pair (lo, hi) at the scale 2**-prec
+    (_log_fixed), the one of |w|^2 read off its box.  Every count and sweep
+    of the call reads the same table.
 
     precision_bits (in [MIN_PRECISION_BITS, MAX_PRECISION_BITS]) is the
     width asked of the boxes of irrational |w|^2; the logarithms work
@@ -206,7 +208,9 @@ class _Table:
     reported values.
     """
 
-    __slots__ = ("radii", "_r_sq", "_bits", "_prec", "_places", "_logs", "_log_radii")
+    __slots__ = (
+        "radii", "_r_sq", "_bits", "_prec", "_places", "_boxes", "_logs", "_log_radii",
+    )
 
     def __init__(self, radii, precision_bits: int = DEFAULT_PRECISION_BITS):
         if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
@@ -224,22 +228,34 @@ class _Table:
         self._bits = max(precision_bits + 24, 64)
         self._prec = self._bits + 16
         self._places: dict = {}
+        self._boxes: dict = {}
         self._logs: dict = {}
         self._log_radii = None
+
+    def _box(self, abs_sq: FieldElement) -> tuple[int, int, int]:
+        """(low, high, scale) with low <= |w|^2 * scale <= high, once per
+        value: (n, n, d) for a rational n/d, and otherwise the real side of
+        field.scaled_box at the width _bits."""
+        box = self._boxes.get(abs_sq)
+        if box is None:
+            if abs_sq.is_rational():
+                x = abs_sq.as_fraction()
+                box = x.numerator, x.numerator, x.denominator
+            else:
+                try:
+                    (low, high, _, _), scale = scaled_box(abs_sq, self._bits)
+                except EnclosureWidthError:
+                    # Scale 0 encloses nothing: every radius goes to compare_real.
+                    low, high, scale = -1, 1, 0
+                box = low, high, scale
+            self._boxes[abs_sq] = box
+        return box
 
     def place(self, w: FieldElement) -> tuple:
         hit = self._places.get(w)
         if hit is None:
             abs_sq = w.abs_squared()
-            # low <= |w|^2 * scale <= high, with equality throughout when exact.
-            exact = abs_sq.is_rational()
-            if exact:
-                value = abs_sq.as_fraction()
-                low = high = value.numerator
-                scale = value.denominator
-            else:
-                # Without a box (the bounds table stops early) every radius straddles.
-                (low, high, _, _), scale = scaled_box(abs_sq, self._bits) or ((0, 0, 0, 0), 0)
+            low, high, scale = self._box(abs_sq)
             r_sq = self._r_sq
             lo, hi, tie = 0, len(r_sq) if w else 0, False
             while lo < hi:
@@ -251,7 +267,7 @@ class _Table:
                 elif x > high * b:
                     side = -1
                 else:
-                    side = 0 if exact else compare_real(abs_sq, Fraction(a, b))
+                    side = 0 if low == high else compare_real(abs_sq, Fraction(a, b))
                 if side <= 0:
                     hi, tie = mid, tie or side == 0
                 else:
@@ -269,30 +285,23 @@ class _Table:
     def _log_abs_sq(self, abs_sq: FieldElement) -> tuple[int, int]:
         """Enclosure of log|w|^2 at the scale 2**-prec, once per value.
 
-        An irrational |w|^2 is boxed in [lo, hi] with lo > 0 (the box's
-        precision doubles while it touches 0; embed raises past its cap).
-        log is increasing and log(hi) - log(lo) = log(hi/lo) <= hi/lo - 1,
-        so one logarithm, of lo, and that rational bound enclose it.
+        |w|^2 lies in [low, high] / scale, its box, with low > 0: while the
+        low end is not positive the box is taken again at double the width
+        bits (scaled_box raises past its cap).  log is increasing and
+        log(high/low) <= high/low - 1, so one logarithm, of low/scale, and
+        that rational bound enclose it; a rational |w|^2 has low = high.
         """
         enc = self._logs.get(abs_sq)
         if enc is None:
+            low, high, scale = self._box(abs_sq)
+            bits = self._bits
+            while low <= 0:
+                bits *= 2
+                (low, high, _, _), scale = scaled_box(abs_sq, bits)
             prec = self._prec
-            if abs_sq.is_rational():
-                x = abs_sq.as_fraction()
-                enc = _log_fixed(x.numerator, x.denominator, prec)
-            else:
-                bits = self._bits
-                box = abs_sq.embed(bits)
-                while box.re_lo <= 0:
-                    bits *= 2
-                    box = abs_sq.embed(bits)
-                lo, hi = box.re_lo, box.re_hi
-                lo_num, lo_den = lo.numerator, lo.denominator
-                low, high = _log_fixed(lo_num, lo_den, prec)
-                # ceil((hi - lo)/lo * 2**prec), in integers
-                gap = hi.numerator * lo_den - lo_num * hi.denominator
-                enc = (low, high - (-(gap << prec) // (hi.denominator * lo_num)))
-            self._logs[abs_sq] = enc
+            lo, hi = _log_fixed(low, scale, prec)
+            # hi + ceil((high - low)/low * 2**prec), in integers
+            enc = self._logs[abs_sq] = (lo, hi - ((low - high) << prec) // low)
         return enc
 
     def sweep(self, weights) -> list[CountingValue]:
@@ -454,16 +463,11 @@ def check_truncation(
 
 def _cover_radius(points: Iterable[FieldElement]) -> Fraction:
     """A rational radius whose closed disc contains every given point."""
-    best = Fraction(0)
+    top = 0
     for w in points:
-        abs_sq = w.abs_squared()
-        if abs_sq.is_rational():
-            hi = abs_sq.as_fraction()
-        else:
-            hi = abs_sq.embed(16).re_hi
-        if hi > best:
-            best = hi
-    return Fraction(math.isqrt(math.ceil(best)) + 1)
+        (_, high, _, _), scale = scaled_box(w.abs_squared(), 16)
+        top = max(top, -(-high // scale))
+    return Fraction(math.isqrt(top) + 1)
 
 
 def check_ord_inequality(

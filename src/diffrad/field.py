@@ -19,9 +19,10 @@ only by strict separation, which is a proof (the counting kernel places
 points among radii this way); an equality, or a value inside the bounds,
 goes to the exact recursion.  Every root is real or i times a real, so each
 basis element lies on an axis of the plane, and an embedding is a linear
-form over per-precision integer bounds on the basis (`FieldTower._bounds`):
-integers at one scale (`scaled_box`), returned by `embed` as a rational
-rectangle.
+form over per-precision integer bounds on the basis (`FieldTower._bounds`).
+`scaled_box` is the one enclosure kernel: it refines that form until its
+integer box at one scale is narrow enough, and `embed` only divides the
+four ends by the scale.
 """
 
 from __future__ import annotations
@@ -664,29 +665,11 @@ class FieldElement:
         return not any([x for x, f in zip(self._num, self.tower._flips) if f])
 
     def embed(self, precision_bits: int = 53) -> ComplexInterval:
-        """A rational rectangle containing the complex embedding.
-
-        The linear form over the tower's integer basis bounds (`_bounds`);
-        Fractions are built only for the four endpoints.  The width never
-        exceeds 2**-precision_bits (exact rationals come back as zero-width
-        points).  precision_bits must be at least 8.  Raises
-        EnclosureWidthError when the working precision, doubling from
-        precision_bits + 4, passes MAX_ENCLOSURE_BITS first; a precision
-        whose table stops below a nonzero coordinate fails.
-        """
-        if precision_bits < 8:
-            raise ValueError("precision_bits must be at least 8")
-        prec = precision_bits + 4
-        while prec <= MAX_ENCLOSURE_BITS:
-            enc = scaled_box(self, prec)
-            if enc is not None:
-                box, scale = enc
-                if max(box[1] - box[0], box[3] - box[2]) << precision_bits <= scale:
-                    return ComplexInterval(*[Fraction(v, scale) for v in box])
-            prec *= 2
-        raise EnclosureWidthError(
-            f"enclosure wider than 2**-{precision_bits} at {MAX_ENCLOSURE_BITS} bits"
-        )
+        """A rational rectangle containing the complex embedding: the integer
+        box of `scaled_box`, whose contract it keeps, over its scale.
+        Fractions are built only for the four endpoints."""
+        box, scale = scaled_box(self, precision_bits)
+        return ComplexInterval(*[Fraction(v, scale) for v in box])
 
     def __complex__(self) -> complex:
         return self.embed(53).mid
@@ -717,20 +700,32 @@ def _make(tower: FieldTower, num: tuple, den: int) -> FieldElement:
     return x
 
 
-def scaled_box(x: FieldElement, prec: int) -> Optional[tuple[list, int]]:
+def scaled_box(x: FieldElement, precision_bits: int) -> tuple[list, int]:
     """(box, scale): integers [re_lo, re_hi, im_lo, im_hi] with
     re_lo <= Re(x) * scale <= re_hi and im_lo <= Im(x) * scale <= im_hi,
-    at scale = den << prec for x's denominator den.
+    neither side wider than scale * 2**-precision_bits.
 
-    The linear form over the tower's bounds table at prec (`_bounds`), the
-    one enclosure kernel: `embed` and the placement of counting points both
-    run it.  None when the table stops before a nonzero coordinate of x.
+    The one enclosure kernel: the linear form over the tower's bounds table
+    (`_bounds`) at a working precision P, with scale = den << P for x's
+    denominator den.  P doubles from precision_bits + 4 until the box is
+    narrow enough; a P whose table stops before a nonzero coordinate of x
+    fails.  Raises EnclosureWidthError once P passes MAX_ENCLOSURE_BITS.
+    precision_bits must be at least 8.
     """
-    num = x._num
-    bounds = x.tower._bounds(prec)
-    if any(num[len(bounds):]):
-        return None
-    return _linear(num, bounds), x._den << prec
+    if precision_bits < 8:
+        raise ValueError("precision_bits must be at least 8")
+    num, tower = x._num, x.tower
+    prec = precision_bits + 4
+    while prec <= MAX_ENCLOSURE_BITS:
+        bounds = tower._bounds(prec)
+        if not any(num[len(bounds):]):
+            box, scale = _linear(num, bounds), x._den << prec
+            if max(box[1] - box[0], box[3] - box[2]) << precision_bits <= scale:
+                return box, scale
+        prec *= 2
+    raise EnclosureWidthError(
+        f"enclosure wider than 2**-{precision_bits} at {MAX_ENCLOSURE_BITS} bits"
+    )
 
 
 def muladd(acc: FieldElement, x: FieldElement, y: FieldElement) -> FieldElement:

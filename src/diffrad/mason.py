@@ -78,34 +78,10 @@ def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
 
 
 def linearly_independent(ps: Sequence[Polynomial]) -> bool:
-    """Exact rank test of the coefficient matrix over the tower field."""
-    if not ps:
-        return True
-    tower = ps[0].tower
-    width = max((len(p.coeffs) for p in ps), default=0)
-    if width == 0:
-        return False  # some zero polynomial present
-    rows = [[p.coeff(k) for k in range(width)] for p in ps]
-    rank = 0
-    for col in range(width):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [
-                    rc - factor * pc for rc, pc in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank == len(ps)
+    """Linear independence over the constants: a nonzero Casoratian at
+    shift 1 (casoratian proves the two equivalent).  An empty list is
+    independent; a list with a zero polynomial is not."""
+    return not ps or not casoratian(ps, 1).is_zero()
 
 
 def pairwise_coprime(ps: Sequence[Polynomial]) -> tuple[bool, Optional[Polynomial]]:

@@ -4,7 +4,9 @@ Each polynomial oracle works on coefficient lists with plain FieldElement
 `+`, `-`, `*` and `inverse()`, one operation at a time, and never calls the
 fused kernels of `poly.py`, so a fault there cannot hide in its own
 reference.  The sign oracles decide signs by refining interval boxes of
-the complex embedding instead of the exact norm recursion of `field.py`.
+the complex embedding instead of the exact norm recursion of `field.py`,
+and the independence oracle ranks the coefficient matrix instead of
+reading the Casoratian.
 The parser oracle evaluates the expression grammar on such dense lists,
 after a tokenizer that matches one token at a time.
 """
@@ -171,6 +173,33 @@ def casoratian(ps, kappa) -> Polynomial:
     rows = [list(ps)] + [[p.taylor_shift(kappa * i) for p in ps] for i in range(1, len(ps))]
     return det_cofactor(rows)
 
+
+
+def linearly_independent(ps) -> bool:
+    """Rank of the coefficient matrix by Gauss-Jordan elimination over the
+    tower: the independence oracle of the Casoratian test."""
+    if not ps:
+        return True
+    width = max(len(p.coeffs) for p in ps)
+    if width == 0:
+        return False  # some zero polynomial present
+    rows = [[p.coeff(k) for k in range(width)] for p in ps]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [c * inv for c in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero():
+                factor = rows[r][col]
+                rows[r] = [rc - factor * pc for rc, pc in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank == len(ps)
 
 # -- the parser oracle: one dense coefficient list per value -----------------
 

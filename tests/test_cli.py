@@ -88,6 +88,11 @@ FLAG_ERRORS = [
     (["divisor", "--divisor", "(0,1)", "--radii", ","], "--radii needs at least one value"),
     (["divisor", "--divisor", "(1,1)", "--q", "0"], "--q must be at least 1"),
     (["divisor", "--divisor", "(1,1)", "--truncation", "--n", "0"], "--n must be at least 1"),
+    (["divisor", "--divisor", "(1,1)", "--q", "201"], "--q is capped at 200"),
+    (["divisor", "--divisor", "(1,1)", "--truncation", "--n", "201"], "--n is capped at 200"),
+    (["fermat", "z", "1", "z+1", "--n", "201"], "--n times the largest base degree is capped"),
+    (["fermat", "z^2", "1", "z^2+1", "--n", "101"], "--n times the largest base degree is capped"),
+    (["fermat", "1", "1", "2", "--n", "201"], "--n times the largest base degree is capped"),
     (["divisor"], "give exactly one of --divisor or --file"),
     (["divisor", "--file", "no-such-divisor-file.txt"], "cannot read no-such-divisor-file.txt"),
     (["divisor", "--ord-inequality"], "--ord-inequality needs factored polynomials"),
@@ -515,6 +520,17 @@ def test_coefficient_of_exactly_4300_digits_prints(capsys):
     assert code == 0
     assert f"input: {nines}*z + 1\n" in out
     assert f"radical: z + 1/{nines}\n" in out
+
+
+def test_largest_accepted_orders_still_answer(capsys):
+    # The order caps refuse nothing below them: an n = 200 factorial power of
+    # linear bases, and a truncation with n = q = 200.
+    code, doc = run_json(capsys, ["fermat", "z", "1", "z+1", "--n", "200"])
+    equation = next(h for h in doc["hypotheses"] if h["name"] == "equation")
+    assert code == 2 and equation["detail"].startswith("equation fails, difference -200*z^199")
+    argv = ["divisor", "--divisor", "(1,1),(2,1)", "--truncation", "--n", "200", "--q", "200"]
+    code, doc = run_json(capsys, argv + ["--radii", "1,300"])
+    assert code == 0 and doc["artifacts"]["factorial_support"] == 201
 
 
 @pytest.mark.parametrize("expr", ["z^20000", "2^100000000", "(z^2)^101"])

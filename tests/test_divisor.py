@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import diffrad.divisor
+import diffrad.field
 import diffrad.poly
 import naive_poly
 from diffrad import (
@@ -33,6 +34,7 @@ from diffrad import (
     shift_divisor,
 )
 from diffrad.divisor import counting_table
+from diffrad.errors import EnclosureWidthError
 from diffrad.generators import (
     random_divisor,
     random_factored,
@@ -397,11 +399,12 @@ def test_check_truncation_rows_match_pointwise_oracle(tower):
 
 class _Spy:
     """Records the points the counting kernel places, the |w|^2 it hands the
-    exact comparison, and the |w|^2 whose logarithm it encloses."""
+    exact comparison, and the values it hands the enclosure kernel
+    field.scaled_box, under both names the package calls it by."""
 
     def __init__(self, monkeypatch):
-        self.placed, self.compared, self.enclosed = Counter(), Counter(), Counter()
-        compare, embed = diffrad.divisor.compare_real, FieldElement.embed
+        self.placed, self.compared, self.boxed = Counter(), Counter(), Counter()
+        compare, kernel = diffrad.divisor.compare_real, diffrad.field.scaled_box
         abs_squared = FieldElement.abs_squared
 
         def spy_abs_squared(w):
@@ -412,30 +415,31 @@ class _Spy:
             self.compared[a] += 1
             return compare(a, b)
 
-        def spy_embed(x, *args):
-            self.enclosed[x] += 1
-            return embed(x, *args)
+        def spy_kernel(x, *args):
+            self.boxed[x] += 1
+            return kernel(x, *args)
 
         monkeypatch.setattr(FieldElement, "abs_squared", spy_abs_squared)
         monkeypatch.setattr(diffrad.divisor, "compare_real", spy_compare)
-        monkeypatch.setattr(FieldElement, "embed", spy_embed)
+        monkeypatch.setattr(diffrad.field, "scaled_box", spy_kernel)
+        monkeypatch.setattr(diffrad.divisor, "scaled_box", spy_kernel)
 
     def assert_each_point_once(self, points, radii):
         """Each distinct point is placed once (one |w|^2 per point), no radius
         needs the exact comparison (every point is well separated from every
-        circle), and each irrational |w|^2 strictly inside the largest radius
-        has its logarithm enclosed once."""
+        circle), and each distinct irrational |w|^2 is boxed once: its
+        placement and, strictly inside the largest radius, its logarithm
+        read the same box."""
         assert self.placed == Counter(set(points))
         assert not self.compared
-        top = max(radii) ** 2
-        inside = {
-            a for a in map(FieldElement.abs_squared, set(points))
-            if not a.is_rational() and compare_real(a, top) < 0
+        irrational = {
+            a for a in map(FieldElement.abs_squared, set(points)) if not a.is_rational()
         }
-        assert inside  # the irrational branch is exercised
-        assert self.enclosed == Counter(inside)
+        top = max(radii) ** 2
+        assert any(compare_real(a, top) < 0 for a in irrational)  # a log reads a box
+        assert self.boxed == Counter(irrational)
         self.placed.clear()
-        self.enclosed.clear()
+        self.boxed.clear()
 
 
 def test_one_table_per_check_places_and_encloses_each_point_once(tower, monkeypatch):
@@ -453,6 +457,11 @@ def test_one_table_per_check_places_and_encloses_each_point_once(tower, monkeypa
             spy.assert_each_point_once(lhs | shifted, radii)
             counting_table(D, kappa, q, radii)
             spy.assert_each_point_once(D.support(), radii)
+    # w, -w and conj(w) are three points with one irrational |w|^2: one box.
+    w = 1 + tower.sqrt_gen(1) + 2 * tower.sqrt_gen(0)
+    E = Divisor(tower, {w: 1, -w: 2, w.conj(): 1})
+    counting_table(E, 1, 2, radii)
+    spy.assert_each_point_once(E.support(), radii)
 
 
 def _oracle_place(w, radii):
@@ -535,9 +544,11 @@ def test_placement_falls_back_to_exact_signs_inside_the_enclosure(tower, monkeyp
 
 
 def test_placement_without_an_enclosure_uses_exact_signs(monkeypatch):
-    # sqrt(2) - p/q is about 2^-91, so at the table's working precision the
-    # bounds of that radicand do not clear 0 and the tower's bounds table
-    # stops before its root: elements that use the root get no box at all.
+    # sqrt(2) - p/q is about 2^-91, so at the table's first working precision
+    # the bounds of that radicand do not clear 0 and the tower's bounds table
+    # stops before its root; the kernel boxes elements that use the root only
+    # at a doubled precision.  With the cap lowered below that precision it
+    # cannot box them at all, and every radius goes to the exact signs.
     base = FieldTower.rationals().adjoin_sqrt(-1).adjoin_sqrt(2)
     c = next(c for c in reversed(_sqrt2_convergents(1 << 46)) if c * c < 2)
     top = base.adjoin_sqrt(base.sqrt_gen(1) - c)
@@ -545,14 +556,100 @@ def test_placement_without_an_enclosure_uses_exact_signs(monkeypatch):
     assert 0 < eps.sign_real() and compare_real(eps, Fraction(1, 2 ** 88)) < 0
     i, s2, t = top.sqrt_gen(0), top.sqrt_gen(1), top.sqrt_gen(2)
     table = diffrad.divisor._Table([Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
-    assert diffrad.field.scaled_box((1 + t) * (1 + t), table._bits) is None
+    abs_sq = (1 + t) * (1 + t)
+    assert len(top._bounds(table._bits + 4)) < top.dim
+    diffrad.field.scaled_box(abs_sq, table._bits)  # boxed past the early stop
+    low_cap = 2 * table._bits
+    monkeypatch.setattr(diffrad.field, "MAX_ENCLOSURE_BITS", low_cap)
+    with pytest.raises(EnclosureWidthError):
+        diffrad.field.scaled_box(abs_sq, table._bits)
     points = [1 + t, 1 - t, (1 + t) * i, s2 + t, 2 + 3 * t, Fraction(3, 2) * (1 + t)]
-    places, calls = _spied_places(monkeypatch, table, points)
+    places, calls = _spied_places(monkeypatch, table, points)  # undoes the cap
     assert places == [_oracle_place(w, table.radii) for w in points]
     assert len({a for a, _ in calls}) == len({w.abs_squared() for w in points})
-    # the integrals still enclose the logarithms past the early stop
-    N = N_integrated(Divisor(top, {1 + t: 1, 2 + 3 * t: 2}), 3)
+    # Counts never need a box; the integrals need one and raise without it.
+    D = Divisor(top, {1 + t: 1, 2 + 3 * t: 2})
+    monkeypatch.setattr(diffrad.field, "MAX_ENCLOSURE_BITS", low_cap)
+    assert n_count(D, 3) == 3
+    with pytest.raises(EnclosureWidthError):
+        N_integrated(D, 3)
+    monkeypatch.undo()
+    N = N_integrated(D, 3)
     assert N.n_value == 3 and N.error < 1e-9
+
+
+def _pell_point(tower):
+    """(p - q sqrt(2), p, q) for the first p^2 - 2 q^2 = +-1 with q > 2^33:
+    |w| = 1/(p + q sqrt(2)) is about 2^-35.5, and |w|^2 has numerators of
+    about 2^69."""
+    p, q = 1, 1
+    while q <= 1 << 33:
+        p, q = p + 2 * q, p + q
+    return p - q * tower.sqrt_gen(1), p, q
+
+
+def test_box_touching_zero_is_refined(tower, monkeypatch):
+    # |w|^2, about 2^-71, lies below the 2^-64 width of the table's box, whose
+    # low end is then <= 0: the logarithm takes the box again at double the
+    # width bits.  A small value over a large denominator, such as
+    # (1 + sqrt(2))/2^40, does not get there: the scale of its box carries
+    # the denominator.
+    w, p, q = _pell_point(tower)
+    kernel, lows = diffrad.divisor.scaled_box, []
+
+    def spy(x, bits):
+        box, scale = kernel(x, bits)
+        lows.append((bits, box[0]))
+        return box, scale
+
+    monkeypatch.setattr(diffrad.divisor, "scaled_box", spy)
+    rows = counting_table(Divisor(tower, {w: 2, 3: 1}), 1, 1, [1, 2, 4])
+    (b0, low0), (b1, low1) = lows
+    assert (b0, b1) == (64, 128) and low0 <= 0 < low1
+    log_abs_w = -math.log(p + q * math.sqrt(2))  # p^2 - 2 q^2 = +-1
+    for r, plain, _ in rows:
+        oracle = 2 * (math.log(r) - log_abs_w) + (math.log(r / 3) if r > 3 else 0)
+        assert plain.n_value == (3 if r > 3 else 2)
+        assert abs(plain.N_value - oracle) <= plain.error + 1e-12
+
+
+def test_check_truncation_pins_its_N_values(tower):
+    # N_lhs, N_rhs and N_error bit for bit (the benchmark digests drop floats).
+    i, s2, s3 = (tower.sqrt_gen(k) for k in range(3))
+    cases = [
+        ({0: 2, 3 + 4 * i: 1, 2: 3, 1 + s2: 1, Fraction(-1, 2) + i / 2: 2}, 1, 2, 2,
+         [Fraction(1, 2), 1, 2, 5, 10], 40, [
+             ("1/2", 0.0, -1.3862943611198906, 5.54517919942595e-16),
+             ("1", 0.6931471805599453, 0.6931471805599453, 5.54517919942595e-16),
+             ("2", 4.97546030288538, 7.7480490251251615, 5.0894060193843145e-15),
+             ("5", 15.894294454572748, 22.33204610430915, 1.5290545274182517e-14),
+             ("10", 25.598354982411983, 34.80869535438816, 2.4162832924735582e-14),
+         ]),
+        (_overlapping_divisor(tower), i, 3, 2, [Fraction(1, 2), 1, 2, 3, 5, 6, 10], 40, [
+            ("1/2", -1.3862943611198906, -1.3862943611198906, 1.10903583988519e-15),
+            ("1", 0.0, 0.0, 0.0),
+            ("2", 3.8123094930796992, 3.8123094930796992, 3.049848735178911e-15),
+            ("3", 8.698479274793304, 9.979977376945266, 7.471394033254255e-15),
+            ("5", 17.45794842980365, 23.289272547702584, 1.629890922761595e-14),
+            ("6", 21.645697232755225, 29.847201588975572, 2.0597192018824767e-14),
+            ("10", 34.862136886546885, 49.70437435172511, 3.3826637879788925e-14),
+        ]),
+        ({(s3 - 1) / 8: 2, s2 + s3 * i: 1, 1 + s2 * i: 3, Fraction(7, 3): 1}, s2, 1, 3,
+         [1, Fraction(3, 2), 4, 7], 8, [
+             ("1", 4.782693799724544, 4.782693799724544, 3.826169227002475e-15),
+             ("3/2", 5.593624015940872, 5.593624015940872, 4.474913953458629e-15),
+             ("4", 11.18681907795736, 11.18681907795736, 8.949473131601245e-15),
+             ("7", 15.104129593505318, 15.104129593505318, 1.2083323292236205e-14),
+         ]),
+        ({_pell_point(tower)[0]: 1, 3: 1, (1 + s2) / 2 ** 40: 2}, 1, 1, 1, [1, 2], 1024, [
+            ("1", 78.36748770730374, 78.36748770730374, 6.2693990165843e-14),
+            ("2", 80.44692924898358, 80.44692924898358, 6.435754339918686e-14),
+        ]),
+    ]
+    for points, kappa, q, n, radii, bits, expected in cases:
+        D = points if isinstance(points, Divisor) else Divisor(tower, points)
+        rows = check_truncation(D, kappa, q, n, radii, bits).artifacts["per_radius"]
+        assert [(row["r"], row["N_lhs"], row["N_rhs"], row["N_error"]) for row in rows] == expected
 
 
 def test_counting_table_matches_one_radius_calls(tower):

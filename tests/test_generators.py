@@ -6,7 +6,6 @@ import pytest
 
 from diffrad import Divisor, gcd, multi_gcd, pairwise_coprime
 from diffrad.fermat import Form
-from diffrad.mason import linearly_independent
 from diffrad.generators import (
     random_divisor,
     random_factored,
@@ -17,6 +16,7 @@ from diffrad.generators import (
     random_ord_inputs,
     random_poly,
 )
+from naive_poly import linearly_independent
 
 
 def test_same_seed_same_stream(tower):

@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diffrad import FieldElement, default_tower
+import diffrad.divisor
+from diffrad import default_tower
 from diffrad.divisor import (
     DEFAULT_PRECISION_BITS,
     MAX_PRECISION_BITS,
     _log_fixed,
     _Table,
 )
-from diffrad.field import ComplexInterval
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -93,15 +93,18 @@ def test_log_of_irrational_abs_squared(bits, coeffs):
 
 @pytest.mark.parametrize("bits", [DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS])
 def test_wide_box_keeps_the_value_inside(monkeypatch, bits):
-    # A box as wide as embed may return, with the value at its top end: the
-    # upper bound must come from the box's top, not from the log of its low end.
-    embed = FieldElement.embed
+    # A box as wide as scaled_box may return, with the value at its top end:
+    # the upper bound must come from the box's top, not from the log of its
+    # low end.  The scale is den << P with P > width_bits, so scale >>
+    # width_bits is exactly 2**-width_bits at that scale.
+    kernel, widened_calls = diffrad.divisor.scaled_box, []
 
     def widened(x, width_bits):
-        box = embed(x, width_bits)
-        return ComplexInterval(box.re_lo - Fraction(1, 1 << width_bits), box.re_hi, 0, 0)
+        (lo, hi, _, _), scale = kernel(x, width_bits)
+        widened_calls.append(x)
+        return [lo - (scale >> width_bits), hi, 0, 0], scale
 
-    monkeypatch.setattr(FieldElement, "embed", widened)
+    monkeypatch.setattr(diffrad.divisor, "scaled_box", widened)
     tower = default_tower()
     s2, s3 = tower.sqrt_gen(1), tower.sqrt_gen(2)
     for w, value in ((1 + s2, lambda: (1 + mpmath.sqrt(2)) ** 2),
@@ -110,3 +113,4 @@ def test_wide_box_keeps_the_value_inside(monkeypatch, bits):
         table = _Table([Fraction(1)], bits)
         enc = table._log_abs_sq(w.abs_squared())
         _assert_encloses(enc, lambda: mpmath.log(value()), table._prec)
+    assert len(widened_calls) == 3

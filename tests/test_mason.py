@@ -128,9 +128,9 @@ def test_casoratian_nonzero_iff_independent(tower):
             ps = [a, b, a.scale(alpha) + b.scale(beta)]
             if ps[-1].is_zero():
                 ps[-1] = a
-        indep = linearly_independent(ps)
+        indep = naive_poly.linearly_independent(ps)
         cas = casoratian(ps, k)
-        assert indep == (not cas.is_zero())
+        assert indep == (not cas.is_zero()) == linearly_independent(ps)
         independent += indep
         dependent += not indep
     assert independent >= 50 and dependent >= 50
