@@ -3,8 +3,9 @@
 The package computes the kappa-difference radical of a polynomial, checks
 the degree bounds it implies for coprime polynomial sums, and verifies the
 consequences for factorial-polynomial power equations and zero-counting
-divisors.  All arithmetic is exact; floating point appears only in certified
-enclosures of logarithmic counting integrals.
+divisors.  All arithmetic is exact.  The integrated counts N(r) are
+enclosed by integer pairs, and floating point appears only in their last
+step: each enclosure is rounded to a reported value and an error bound.
 """
 
 from .divisor import (
@@ -27,6 +28,7 @@ from .errors import (
     NotDivisibleError,
     ParseError,
     SquareRadicandError,
+    TowerDepthError,
     ZeroPolynomialError,
     ZeroRadicandError,
     ZeroShiftError,
@@ -94,6 +96,7 @@ __all__ = [
     "RadicalResult",
     "SquareRadicandError",
     "Statement",
+    "TowerDepthError",
     "ZeroPolynomialError",
     "ZeroRadicandError",
     "ZeroShiftError",

@@ -17,9 +17,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .divisor import (
-    DEFAULT_PRECISION_BITS,
-    MAX_PRECISION_BITS,
-    MIN_PRECISION_BITS,
     Divisor,
     check_ord_inequality,
     check_truncation,
@@ -254,10 +251,6 @@ def cmd_fermat(session: Session, args) -> int:
 
 
 def cmd_divisor(session: Session, args) -> int:
-    if not MIN_PRECISION_BITS <= args.precision_bits <= MAX_PRECISION_BITS:
-        raise ParseError(
-            f"--precision-bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}]"
-        )
     for flag, value in (("--q", args.q), ("--n", args.n)):
         if value < 1:
             raise ParseError(f"{flag} must be at least 1")
@@ -277,13 +270,11 @@ def cmd_divisor(session: Session, args) -> int:
     D = _read_divisor(session, args.divisor, args.file)
 
     if args.truncation:
-        report = check_truncation(
-            D, session.kappa, args.q, args.n, radii, args.precision_bits
-        )
+        report = check_truncation(D, session.kappa, args.q, args.n, radii)
         return _emit_report(session, "divisor", report)
 
     rows = []
-    table = counting_table(D, session.kappa, args.q, radii, args.precision_bits)
+    table = counting_table(D, session.kappa, args.q, radii)
     for r, plain, trunc in table:
         rows.append(
             {
@@ -383,14 +374,6 @@ def _build_parser() -> _Parser:
     p_div.add_argument("--radii", default="1,2,5,10", help="comma-separated rational radii")
     p_div.add_argument("--truncation", action="store_true", help="run the truncation check")
     p_div.add_argument("--ord-inequality", action="store_true", help="run the order inequality check")
-    p_div.add_argument(
-        "--precision-bits",
-        type=int,
-        default=DEFAULT_PRECISION_BITS,
-        metavar="B",
-        help=f"working precision of the certified integrals, {MIN_PRECISION_BITS} to "
-        f"{MAX_PRECISION_BITS} bits (default {DEFAULT_PRECISION_BITS})",
-    )
     p_div.set_defaults(func=cmd_divisor)
 
     p_ex = sub.add_parser("examples", parents=[common], help="replay built-in worked examples")

@@ -11,7 +11,7 @@ and their integrated companions, evaluated in closed form
     N(r) = sum_{0<|w|<=r} c_w log(r/|w|) + c_0 log r
 
 with certified enclosures in integer fixed point: each logarithm is an
-integer pair (lo, hi) at the scale 2**-prec, from the atanh series with
+integer pair (lo, hi) at the fixed scale 2**-80, from the atanh series with
 binary argument reduction (Brent and Zimmermann, Modern Computer
 Arithmetic, 4.4), and the sums over the points are exact.  The min runs
 over the q+1 points w, ..., w+q*kappa: Divisor.window_excess, the kernel of
@@ -21,8 +21,8 @@ Every count runs one kernel, a point table (_Table) per call.  The table
 is the one home of the radii: it converts them to Fractions, deduplicates
 and sorts them, and rejects an empty list or a negative radius.  It places
 each distinct point once among them and encloses each distinct log|w|^2
-once, both from one certified integer box of each distinct |w|^2
-(field.scaled_box; a rational value is its own zero-width box).  A
+once, both from one certified integer box of each distinct |w|^2, at most
+2**-64 wide (field.scaled_box; a rational value is its own zero-width box).  A
 placement decides a radius by the box only when the radius lies strictly
 outside it; ties (rational |w|^2 only) are decided exactly, and a radius
 inside the box goes to the exact sign recursion (field.compare_real), so
@@ -69,8 +69,6 @@ from .poly import (
     shift_window_excess,
 )
 from .report import CheckReport, Hypothesis, Statement, chain_report
-
-DEFAULT_PRECISION_BITS = 40
 
 
 def divisor_of(f: FactoredPoly) -> Divisor:
@@ -175,8 +173,11 @@ def _log_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     return lo, hi
 
 
-MIN_PRECISION_BITS = 8
-MAX_PRECISION_BITS = 1024
+# Every count runs at one precision: boxes of irrational |w|^2 at most
+# 2**-_BOX_BITS wide, logarithms at the scale 2**-_LOG_PREC, far below the
+# float rounding of the reported values.
+_BOX_BITS = 64
+_LOG_PREC = 80
 
 
 class _Table:
@@ -193,31 +194,19 @@ class _Table:
     binary search against the squared radii over the box of |w|^2.  Each
     distinct |w|^2 is boxed once (_box): the value itself when it is
     rational, a zero-width box that also decides ties, and otherwise
-    field.scaled_box at the width _bits.  A radius strictly outside the box
-    is decided by two integer products; only a radius inside it, or a value
-    the kernel cannot box within its cap, goes to the exact norm recursion
-    (compare_real).  An irrational |w|^2 never equals a rational r^2, so no
-    tie is lost.  Each distinct |w|^2, and each radius, is given one
-    logarithm enclosure: an integer pair (lo, hi) at the scale 2**-prec
-    (_log_fixed), the one of |w|^2 read off its box.  Every count and sweep
-    of the call reads the same table.
-
-    precision_bits (in [MIN_PRECISION_BITS, MAX_PRECISION_BITS]) is the
-    width asked of the boxes of irrational |w|^2; the logarithms work
-    40 bits finer (80 at the least), far below the float rounding of the
-    reported values.
+    field.scaled_box at the width _BOX_BITS.  A radius strictly outside the
+    box is decided by two integer products; only a radius inside it, or a
+    value the kernel cannot box within its cap, goes to the exact norm
+    recursion (compare_real).  An irrational |w|^2 never equals a rational
+    r^2, so no tie is lost.  Each distinct |w|^2, and each radius, is given
+    one logarithm enclosure: an integer pair (lo, hi) at the scale
+    2**-_LOG_PREC (_log_fixed), the one of |w|^2 read off its box.  Every
+    count and sweep of the call reads the same table.
     """
 
-    __slots__ = (
-        "radii", "_r_sq", "_bits", "_prec", "_places", "_boxes", "_logs", "_log_radii",
-    )
+    __slots__ = ("radii", "_r_sq", "_places", "_boxes", "_logs", "_log_radii")
 
-    def __init__(self, radii, precision_bits: int = DEFAULT_PRECISION_BITS):
-        if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
-            raise ValueError(
-                f"precision_bits must be in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}],"
-                f" got {precision_bits}"
-            )
+    def __init__(self, radii):
         radii = sorted({Fraction(r) for r in radii})
         if not radii:
             raise ValueError("need at least one radius")
@@ -225,8 +214,6 @@ class _Table:
             raise ValueError(f"radius must be non-negative, got {radii[0]}")
         self.radii = radii
         self._r_sq = [(r.numerator ** 2, r.denominator ** 2) for r in radii]
-        self._bits = max(precision_bits + 24, 64)
-        self._prec = self._bits + 16
         self._places: dict = {}
         self._boxes: dict = {}
         self._logs: dict = {}
@@ -235,7 +222,7 @@ class _Table:
     def _box(self, abs_sq: FieldElement) -> tuple[int, int, int]:
         """(low, high, scale) with low <= |w|^2 * scale <= high, once per
         value: (n, n, d) for a rational n/d, and otherwise the real side of
-        field.scaled_box at the width _bits."""
+        field.scaled_box at the width _BOX_BITS."""
         box = self._boxes.get(abs_sq)
         if box is None:
             if abs_sq.is_rational():
@@ -243,7 +230,7 @@ class _Table:
                 box = x.numerator, x.numerator, x.denominator
             else:
                 try:
-                    (low, high, _, _), scale = scaled_box(abs_sq, self._bits)
+                    (low, high, _, _), scale = scaled_box(abs_sq, _BOX_BITS)
                 except EnclosureWidthError:
                     # Scale 0 encloses nothing: every radius goes to compare_real.
                     low, high, scale = -1, 1, 0
@@ -283,7 +270,7 @@ class _Table:
         return list(itertools.accumulate(steps[:-1]))
 
     def _log_abs_sq(self, abs_sq: FieldElement) -> tuple[int, int]:
-        """Enclosure of log|w|^2 at the scale 2**-prec, once per value.
+        """Enclosure of log|w|^2 at the scale 2**-_LOG_PREC, once per value.
 
         |w|^2 lies in [low, high] / scale, its box, with low > 0: while the
         low end is not positive the box is taken again at double the width
@@ -294,14 +281,13 @@ class _Table:
         enc = self._logs.get(abs_sq)
         if enc is None:
             low, high, scale = self._box(abs_sq)
-            bits = self._bits
+            bits = _BOX_BITS
             while low <= 0:
                 bits *= 2
                 (low, high, _, _), scale = scaled_box(abs_sq, bits)
-            prec = self._prec
-            lo, hi = _log_fixed(low, scale, prec)
-            # hi + ceil((high - low)/low * 2**prec), in integers
-            enc = self._logs[abs_sq] = (lo, hi - ((low - high) << prec) // low)
+            lo, hi = _log_fixed(low, scale, _LOG_PREC)
+            # hi + ceil((high - low)/low * 2**_LOG_PREC), in integers
+            enc = self._logs[abs_sq] = (lo, hi - ((low - high) << _LOG_PREC) // low)
         return enc
 
     def sweep(self, weights) -> list[CountingValue]:
@@ -314,7 +300,7 @@ class _Table:
         is a multiple of log r minus a prefix sum of per-point terms, so the
         sweep only adds up table entries: per-radius masses and log sums,
         accumulated over the radii.  Every entry is an integer pair at the
-        scale 2**-prec, and a negative weight swaps the ends it multiplies,
+        scale 2**-_LOG_PREC, and a negative weight swaps the ends it multiplies,
         so the sums are exact and each radius ends with one pair (lo, hi)
         around 2 N(r).  N_value is its midpoint; the error is a little over
         its half width, plus 4e-16 |N_value| for the float roundings of the
@@ -326,9 +312,8 @@ class _Table:
             raise ValueError("integrated counting needs a positive radius")
         weights = list(weights)
         counts = self.counts(weights)
-        prec = self._prec
         if self._log_radii is None:
-            self._log_radii = [_log_fixed(r.numerator, r.denominator, prec) for r in radii]
+            self._log_radii = [_log_fixed(r.numerator, r.denominator, _LOG_PREC) for r in radii]
         size = len(radii) + 1
         mass, logs_lo, logs_hi = [0] * size, [0] * size, [0] * size
         for w, c in weights:
@@ -343,7 +328,7 @@ class _Table:
                 logs_hi[k] += c * hi
         out = []
         inside = sum_lo = sum_hi = 0
-        scale = 1 << (prec + 2)  # (lo + hi) / scale is the midpoint of N(r)
+        scale = 1 << (_LOG_PREC + 2)  # (lo + hi) / scale is the midpoint of N(r)
         rows = zip(self._log_radii, counts, mass, logs_lo, logs_hi)
         for (r_lo, r_hi), n_val, c, c_lo, c_hi in rows:
             inside, sum_lo, sum_hi = inside + c, sum_lo + c_lo, sum_hi + c_hi
@@ -366,39 +351,30 @@ def n_tilde_q(D: Divisor, kappa, q: int, r) -> int:
     return _Table([r]).counts(_truncated_weights(D, kappa, q))[0]
 
 
-def N_integrated(D: Divisor, r, precision_bits: int = DEFAULT_PRECISION_BITS) -> CountingValue:
+def N_integrated(D: Divisor, r) -> CountingValue:
     """n(r) together with the integrated count N(r) and its error bound."""
-    return _Table([r], precision_bits).sweep(D.items())[0]
+    return _Table([r]).sweep(D.items())[0]
 
 
-def N_tilde_q_integrated(
-    D: Divisor, kappa, q: int, r, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> CountingValue:
+def N_tilde_q_integrated(D: Divisor, kappa, q: int, r) -> CountingValue:
     """Truncated count and its integral; the step function jumps at each |w|."""
-    return _Table([r], precision_bits).sweep(_truncated_weights(D, kappa, q))[0]
+    return _Table([r]).sweep(_truncated_weights(D, kappa, q))[0]
 
 
 def counting_table(
-    D: Divisor, kappa, q: int, radii: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS
+    D: Divisor, kappa, q: int, radii: Sequence
 ) -> list[tuple[Fraction, CountingValue, CountingValue]]:
     """(r, N_integrated, N_tilde_q_integrated) at each distinct radius, ascending.
 
     The plain and the truncated sweep read one table of D's points.
     """
-    table = _Table(radii, precision_bits)
+    table = _Table(radii)
     plain = table.sweep(D.items())
     truncated = table.sweep(_truncated_weights(D, kappa, q))
     return list(zip(table.radii, plain, truncated))
 
 
-def check_truncation(
-    D: Divisor,
-    kappa,
-    q: int,
-    n: int,
-    radii: Sequence,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> CheckReport:
+def check_truncation(D: Divisor, kappa, q: int, n: int, radii: Sequence) -> CheckReport:
     """Truncated counting of an order-n factorial power vs the plain count of
     the order-q one.
 
@@ -414,7 +390,7 @@ def check_truncation(
     count-level inequality no longer preserves its direction, so those rows
     report values without a verdict.
     """
-    table = _Table(radii, precision_bits)
+    table = _Table(radii)
     # One shift chain, of length max(n, q), carries both factorial divisors;
     # the checks and their messages are factorial_divisor's, in its order.
     kappa = require_shift(D.tower, kappa, "factorial divisor")

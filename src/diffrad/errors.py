@@ -24,6 +24,10 @@ class NonRealRadicandError(ValueError):
     """Tried to adjoin sqrt(d) for d not fixed by conjugation."""
 
 
+class TowerDepthError(ValueError):
+    """Tried to build a tower of more than field.MAX_DEPTH square roots."""
+
+
 class ZeroShiftError(ValueError):
     """A shift step kappa of 0 was supplied."""
 

