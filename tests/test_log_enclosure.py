@@ -86,11 +86,20 @@ def test_log_of_irrational_abs_squared(coeffs):
     _assert_encloses(table._log_abs_sq(abs_sq), exact, _LOG_PREC)
 
 
-def test_wide_box_keeps_the_value_inside(monkeypatch):
+@pytest.mark.parametrize("bits", [40, 1024])
+def test_wide_box_keeps_the_value_inside(monkeypatch, bits):
     # A box as wide as scaled_box may return, with the value at its top end:
     # the upper bound must come from the box's top, not from the log of its
     # low end.  The scale is den << P with P > width_bits, so scale >>
     # width_bits is exactly 2**-width_bits at that scale.
+    # bits 40 is the counting precision itself (64-bit boxes, logarithms at
+    # 2**-80); bits 1024 runs the same kernel at a far finer box and scale.
+    box_bits = bits + 24
+    log_prec = box_bits + 16
+    if bits == 40:
+        assert (box_bits, log_prec) == (diffrad.divisor._BOX_BITS, _LOG_PREC)
+    monkeypatch.setattr(diffrad.divisor, "_BOX_BITS", box_bits)
+    monkeypatch.setattr(diffrad.divisor, "_LOG_PREC", log_prec)
     kernel, widened_calls = diffrad.divisor.scaled_box, []
 
     def widened(x, width_bits):
@@ -105,5 +114,5 @@ def test_wide_box_keeps_the_value_inside(monkeypatch):
                      (s2 + s3, lambda: (mpmath.sqrt(2) + mpmath.sqrt(3)) ** 2),
                      ((s3 - 1) / 8, lambda: ((mpmath.sqrt(3) - 1) / 8) ** 2)):
         enc = _Table([Fraction(1)])._log_abs_sq(w.abs_squared())
-        _assert_encloses(enc, lambda: mpmath.log(value()), _LOG_PREC)
+        _assert_encloses(enc, lambda: mpmath.log(value()), log_prec)
     assert len(widened_calls) == 3
