@@ -108,7 +108,7 @@ def suite_multi(rng, tower, trials, max_deg):
 def suite_oracle(rng, tower, trials, max_deg):
     for trial in range(trials):
         kappa = random_kappa(rng, tower)
-        f = random_factored(rng, tower, kappa)
+        f = random_factored(rng, tower, kappa, max_roots=max(1, max_deg // 3))
         m = 2 + trial % 3
         via_gcd = diff_radical_m(f.expand(), kappa, m)
         via_roots = diff_radical_from_roots(f, kappa, m)

@@ -24,7 +24,9 @@ the tower.
 
 Everything here runs on raw integer coordinates and touches no FieldElement
 arithmetic.  The suitable primes of a tower are found lazily, by a scan
-below 2**62 that has no end (see `images`), and remembered on the tower.
+upward from 2**29 that has no end (see `images`), and remembered on the
+tower.  The first primes lie below 2**30, so every residue is one CPython
+digit and every product of two residues at most two.
 """
 
 from __future__ import annotations
@@ -34,12 +36,16 @@ from math import gcd, isqrt, lcm
 
 from .field import FieldTower, _make
 
-_TOP = (1 << 62) - 7  # the largest p = 1 (mod 8) below 2**62
+_BOTTOM = (1 << 29) + 1  # the smallest p = 1 (mod 8) above 2**29
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the prime bases 2 to 37, exact for n < 3.18e23."""
+    """Miller-Rabin on the prime bases 2 to 37, exact for n < 3.18e23.
+
+    That covers every candidate of `images`: the scan steps by 8 from 2**29,
+    so passing 3.18e23 would take about 4e22 candidates.
+    """
     if n < 2 or any(n % b == 0 for b in _BASES):
         return n in _BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -155,18 +161,23 @@ def _image(tower: FieldTower, p: int):
 
 def images(tower: FieldTower):
     """The tower's images for the primes p = 1 (mod 8) that suit it, from
-    2**62 down, without end (-1 and 2 are squares mod every such p).
+    2**29 up, without end (-1 and 2 are squares mod every such p).
+
+    The scan starts just above 2**29 so that the primes used in practice are
+    below 2**30, where millions of primes p = 1 (mod 8) lie and a lift takes
+    a handful: every residue is one CPython digit.  Infinitely many suitable
+    primes lie above any bound (see `poly.gcd`), so the scan never runs dry.
 
     The scan runs on the raw radicand coordinates and is memoised on the
     tower: a generator resumes it only past the images found so far.
     """
     memo = tower._fp_images
     if memo is None:
-        memo = tower._fp_images = [[], _TOP]  # found images, next candidate
+        memo = tower._fp_images = [[], _BOTTOM]  # found images, next candidate
     found = memo[0]
     for k in count():
         while len(found) == k:
-            p, memo[1] = memo[1], memo[1] - 8
+            p, memo[1] = memo[1], memo[1] + 8
             image = _is_prime(p) and _image(tower, p)
             if image:
                 found.append(image)
@@ -176,17 +187,26 @@ def images(tower: FieldTower):
 # -- polynomials mod p --------------------------------------------------------
 
 
+def _den_factors(coeffs, p: int):
+    """1/den mod p for each coefficient, from one inverse of the common
+    denominator D; None when p divides D, that is, some denominator."""
+    dens = [c._den for c in coeffs]
+    common = lcm(*dens)
+    if common == 1:
+        return [1] * len(dens)
+    if common % p == 0:
+        return None
+    dinv = pow(common, -1, p)
+    return [common // d * dinv % p if d != 1 else 1 for d in dens]
+
+
 def _branch0(coeffs, image: Image):
     """Residues of the coefficients under branch 0, or None if p divides a denominator."""
     p, rho = image.p, image.rho0
-    out = []
-    for c in coeffs:
-        den = c._den % p
-        if not den:
-            return None
-        acc = sum([x * r for x, r in zip(c._num, rho) if x])
-        out.append(acc * pow(den, -1, p) % p if den != 1 else acc % p)
-    return out
+    factors = _den_factors(coeffs, p)
+    if factors is None:
+        return None
+    return [sum([x * r for x, r in zip(c._num, rho) if x]) * f % p for c, f in zip(coeffs, factors)]
 
 
 def _all_branches(coeffs, image: Image):
@@ -196,12 +216,9 @@ def _all_branches(coeffs, image: Image):
     """
     p, steps = image.p, image.forward
     columns = []
-    for c in coeffs:
+    for c, f in zip(coeffs, _den_factors(coeffs, p)):
         v = _transform([x % p for x in c._num], steps, p)
-        if c._den != 1:
-            dinv = pow(c._den, -1, p)
-            v = [x * dinv % p for x in v]
-        columns.append(v)
+        columns.append(v if f == 1 else [x * f % p for x in v])
     return list(zip(*columns))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from struct import unpack
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import modular
@@ -329,11 +330,14 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     The loop ends.  `modular.images` never runs out of primes: a prime that
     splits completely in the normal closure of the tower and Q(zeta_8), and
     divides no radicand norm or denominator, suits the tower, and such
-    primes have positive density (Chebotarev).  Only finitely many primes
-    are unlucky for given a and b: those dividing a denominator, the norm of
-    a leading coefficient or that of one nonzero maximal minor of S(a, b).
-    Each lucky prime gives the gcd mod ell, so once enough are taken,
-    Chinese remaindering and rational reconstruction return the gcd itself.
+    primes have positive density (Chebotarev), so infinitely many lie above
+    2**29, where the scan starts and walks upward.  Its primality test is
+    exact on every candidate it can reach (see `modular._is_prime`).  Only
+    finitely many primes are unlucky for given a and b: those dividing a
+    denominator, the norm of a leading coefficient or that of one nonzero
+    maximal minor of S(a, b).  Each lucky prime gives the gcd mod ell, so
+    once enough are taken, Chinese remaindering and rational reconstruction
+    return the gcd itself.
     """
     if p.is_zero() or q.is_zero():
         if p.is_zero() and q.is_zero():
@@ -397,8 +401,9 @@ def shift_gcd_factor(p: Polynomial, kappa: CoeffLike, m: int) -> Polynomial:
     images under every branch, is accepted only if h(z - i*kappa) divides p
     exactly for every i < m: then h divides each p(z+i*kappa), hence G, and
     deg G <= d = deg h makes h = G.  A candidate that fails is dropped and
-    the next prime taken; the loop ends for the reasons given in `gcd`,
-    with the image chain in place of the image gcd.  A linear p has no two
+    the next prime taken; the loop ends for the reasons given in `gcd`
+    (the upward scan from 2**29 never runs out of suitable primes), with the
+    image chain in place of the image gcd.  A linear p has no two
     roots kappa apart, so its answer is 1 with no prime taken; m = 1 or a
     zero shift gives monic p.
     """
@@ -581,51 +586,76 @@ class FactoredPoly:
         return self.divisor.support()
 
     def expand(self) -> Polynomial:
-        """The dense product, multiplied out one (z - root) at a time on integers.
+        """The dense product, multiplied out one (z - root) at a time on packed integers.
 
-        Column t lists coordinate t of every coefficient, as integer
-        numerators over one running denominator den.  For root = R / d_R and
-        s = d_R * tden,
+        Column t holds coordinate t of every coefficient, as integer
+        numerators over one running denominator den, packed into one integer
+        by Kronecker substitution z -> 2**B (von zur Gathen and Gerhard,
+        Modern Computer Algebra, 8.4): the column is its polynomial's value
+        at 2**B.  For root = R / d_R and s = d_R * tden,
 
             c * (z - root) = (s*z*c - R*c) / (s*den),
 
-        where R*c is the basis-table product (its denominator is tden), so
-        every step stays in integers and moves whole columns: each entry
-        (w, v) of e_u * e_t subtracts R_u * v times column t from column w.
-        Each coefficient is canonicalised once, at the end.
+        where R*c is the basis-table product (its denominator is tden).  So a
+        step shifts and scales each column, and each entry (w, v) of
+        e_u * e_t subtracts R_u * v times column t from column w: one
+        multiply-subtract per entry, on integers.
+
+        The packed arithmetic is exact, so only the final coefficients must
+        fit their B-bit digits.  A step multiplies the sum of the absolute
+        values of all numerators by at most s + sum_u |R_u| * C_u, where C_u
+        (`FieldTower._table_norms`) is the largest sum of |v| over one
+        product e_u * e_t.  So every final numerator is at most ||lead||_1
+        times those factors, one per linear factor.  B is that bound's bit
+        length plus a sign bit, rounded up to whole 64-bit words.  Adding
+        2**(B-1) to every digit makes them all nonnegative, so int.to_bytes
+        lays them out in B-bit fields, which are read back (one-word digits
+        by struct) and shifted down by 2**(B-1).  Each coefficient is
+        canonicalised once, at the end.
         """
         tower = self.tower
-        table, tden = tower._table, tower._tden
-        den = self.leading._den
-        # None marks a column that is zero in every coefficient.
-        cols = [[x] if x else None for x in self.leading._num]
+        table, tden, norms = tower._table, tower._tden, tower._table_norms
+        bound = sum([abs(x) for x in self.leading._num])
+        steps = []
         for root, mult in self.factors:
             terms = [(table[u], r) for u, r in enumerate(root._num) if r]
             scale = root._den * tden
+            grow = scale + sum([abs(r) * norms[u] for u, r in enumerate(root._num) if r])
+            bound *= grow**mult
+            steps.append((terms, scale, mult))
+        limbs = (bound.bit_length() + 64) >> 6
+        nbytes = limbs << 3
+        shift = nbytes << 3
+        den = self.leading._den
+        cols = list(self.leading._num)
+        for terms, scale, mult in steps:
             for _ in range(mult):
-                out = [
-                    None if col is None else [0] + (col if scale == 1 else [x * scale for x in col])
-                    for col in cols
-                ]
+                out = [col * scale << shift for col in cols]
                 for row, r in terms:
-                    for t, col in enumerate(cols):
-                        if col is None:
-                            continue
-                        for w, cw in row[t]:
-                            f = r * cw
-                            old = out[w]
-                            if old is None:
-                                new = [-f * b for b in col]
-                                new.append(0)
-                            else:
-                                new = [a - f * b for a, b in zip(old, col)]
-                                new.append(old[-1])
-                            out[w] = new
+                    for col, entries in zip(cols, row):
+                        if col:
+                            for w, cw in entries:
+                                out[w] -= r * cw * col
                 cols = out
                 den *= scale
-        zero = [0] * (self.degree + 1)
-        cols = [zero if col is None else col for col in cols]
-        return Polynomial(tower, [_make(tower, *_canon(num, den)) for num in zip(*cols)])
+        n = self.degree + 1
+        size = n * nbytes
+        half = 1 << (shift - 1)
+        offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+        fmt = f"<{n}Q"
+        zero = [0] * n
+        digits = []
+        for col in cols:
+            if not col:
+                digits.append(zero)
+                continue
+            raw = (col + offset).to_bytes(size, "little")
+            if limbs == 1:
+                digits.append([x - half for x in unpack(fmt, raw)])
+            else:
+                words = range(0, size, nbytes)
+                digits.append([int.from_bytes(raw[i : i + nbytes], "little") - half for i in words])
+        return Polynomial(tower, [_make(tower, *_canon(num, den)) for num in zip(*digits)])
 
     def __eq__(self, other):
         if not isinstance(other, FactoredPoly):

@@ -19,6 +19,36 @@ from diffrad.errors import NegativeExponentError, ParseError, UnknownConstantErr
 from diffrad.parser import MAX_DIGITS, MAX_POWER, MAX_POWER_BITS
 
 
+def basis_table(gens):
+    """(table, den) of `field._basis_table`, every entry e_s r * e_t r of a
+    new root r = sqrt(d) multiplied out as (e_s e_t) * d with `field._mul`
+    and the table so far, whatever d is."""
+    table, den = ((((0, 1),),),), 1
+    for k, d in enumerate(gens):
+        h = 1 << k
+        rows = []
+        for s in range(2 * h):
+            row = []
+            for t in range(2 * h):
+                terms = table[s % h][t % h]
+                if s >= h and t >= h:
+                    base = [0] * h
+                    for u, c in terms:
+                        base[u] = c
+                    num, vden = field._mul(tuple(base), den, *d, table, den)
+                    row.append(([(u, c) for u, c in enumerate(num) if c], vden))
+                else:
+                    shift = h if s >= h or t >= h else 0
+                    row.append(([(u + shift, c) for u, c in terms], den))
+            rows.append(row)
+        den = lcm(*(vden for row in rows for _, vden in row))
+        table = tuple(
+            tuple(tuple((u, c * (den // vden)) for u, c in terms) for terms, vden in row)
+            for row in rows
+        )
+    return table, den
+
+
 def _box_sign(x, part):
     """Sign of the real or imaginary part of x, by boxes of doubling precision."""
     if x.is_zero():

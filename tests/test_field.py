@@ -251,6 +251,25 @@ def test_tower_depth_is_capped_before_the_basis_table(tower, monkeypatch):
     assert built == [] and tower._children == {}
 
 
+def test_basis_table_matches_the_multiplied_out_table(any_tower):
+    """A rational radicand scales the old entries; any other is multiplied in.
+    Both give the table that multiplying every entry out gives."""
+    for t in (any_tower, any_tower.adjoin_sqrt(Fraction(5, 4))):
+        assert (t._table, t._tden) == naive_poly.basis_table(t._gens)
+
+
+def test_deepest_rational_tower_has_the_multiplied_out_table():
+    deep = FieldTower.rationals()
+    for d in (-1, 2, 3, 5, 7, 11, 13, Fraction(17, 3)):
+        deep = deep.adjoin_sqrt(d)
+    assert deep.depth == field.MAX_DEPTH
+    # adjoin_sqrt clears the denominator of a rational radicand; a tower
+    # built from its generators may keep one, as sqrt(3/2) does here.
+    direct = FieldTower([((2,), 1), ((3, 0), 2)], [1, 1])
+    for t in (deep, direct):
+        assert (t._table, t._tden) == naive_poly.basis_table(t._gens)
+
+
 def test_adjoin_returns_one_tower_per_generator_chain(tower):
     q = FieldTower.rationals()
     assert q is FieldTower.rationals() and q.depth == 0

@@ -31,6 +31,7 @@ from diffrad.errors import (
 )
 from diffrad.field import muladd
 from diffrad.divisor import _truncated_weights
+from diffrad.parser import _MAX_LITERAL, MAX_POWER
 from diffrad.generators import (
     random_divisor,
     random_element,
@@ -329,6 +330,27 @@ def test_expand_matches_linear_product(any_tower):
             assert p.eval_at(root).is_zero()
         probe = random_element(rng, t, 4, 0.5)
         assert p.eval_at(probe) == naive_poly.eval_at(p, probe)
+    # Inputs at the edges of expand's coefficient bound: literals at the
+    # parser's cap, negative and irrational leads, a zero root, roots with
+    # every coordinate nonzero, the largest power the parser admits, and
+    # products whose top coefficient is exactly the bound and fills its
+    # 64-bit words, so that a bound without the sign bit overflows.
+    big = _MAX_LITERAL
+    dense = t.element([Fraction((-1) ** k * (k + 2), k + 1) for k in range(t.dim)])
+    g = t.sqrt_gen(t.depth - 1)
+    cases = [
+        (t.rational(big), [(t.rational(-big), 1), (t.rational(Fraction(1, big)), 2)]),
+        (t.rational(-big), [(dense * big, 1), (t.zero, 1)]),
+        (-2 - 3 * g, [(t.zero, 3), (dense, 2), (g - 1, 1)]),
+        (g * Fraction(-1, 7), [(dense, 4), (-dense, 1)]),
+        (t.rational(-1), [(g + Fraction(1, 2), MAX_POWER // 2), (t.rational(-3), MAX_POWER // 2)]),
+    ]
+    for words in (1, 2):
+        top = ((1 << 64 * words) - 1) // t._tden
+        cases += [(t.rational(top), [(t.zero, 1)]), (t.rational(-top), [(t.zero, 1)])]
+    for lead, entries in cases:
+        f = FactoredPoly(lead, entries)
+        assert f.expand() == naive_poly.expand(f)
 
 
 def test_divmod_matches_schoolbook(any_tower):
@@ -721,10 +743,10 @@ def _is_prime(n):
 
 
 def test_modular_primes():
-    """Over Q every prime suits, so the images show the scan itself: all
-    primes p = 1 (mod 8) below 2**62, largest first."""
+    """Over Q every prime suits, so the images show the scan itself: the
+    primes p = 1 (mod 8) upward from 2**29 + 1, smallest first."""
     scanned = [image.p for image in itertools.islice(modular.images(FieldTower()), 40)]
-    window = range((1 << 62) - 1, scanned[-1] - 1, -1)
+    window = range((1 << 29) + 1, scanned[-1] + 1)
     assert scanned == [n for n in window if n % 8 == 1 and _is_prime(n)]
     # Strong pseudoprimes to the bases up to 2, 7 and 23 in turn.
     for n in [*range(2000), *window, 8321, 3215031751, 3825123056546413051]:
@@ -751,6 +773,12 @@ def test_tower_images_are_ring_maps(any_tower):
             assert [fx[0][0]] == modular._branch0([x], image)
             values = [row[0] * x._den % p for row in fx]
             assert modular._untransform(values, image.backward, p) == [c % p for c in x._num]
+
+
+def test_tower_images_fit_one_digit(any_tower):
+    """The primes a lift takes are below 2**30: one CPython digit each."""
+    primes = [image.p for image in itertools.islice(modular.images(any_tower), 40)]
+    assert primes == sorted(primes) and primes[0] > 1 << 29 and primes[-1] < 1 << 30
 
 
 def test_tower_images_are_memoised(any_tower):
