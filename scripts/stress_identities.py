@@ -224,17 +224,22 @@ def suite_placement(rng, tower, trials, max_deg):
 
 
 def suite_roundtrip(rng, tower, trials, max_deg):
-    def element():
+    # The given tower and the depth-5 one that `--adjoin 5 --adjoin 7` builds
+    # on it, so that products of up to five roots are printed and parsed.
+    deep = tower.adjoin_sqrt(5).adjoin_sqrt(7)
+
+    def element(t):
         # Any subset of the 2^depth basis coordinates, products of roots included.
-        return tower.element(
-            [random_fraction(rng, 9, 4) if rng.random() < 0.6 else 0 for _ in range(tower.dim)]
+        return t.element(
+            [random_fraction(rng, 9, 4) if rng.random() < 0.6 else 0 for _ in range(t.dim)]
         )
 
     for _ in range(trials):
-        p = Polynomial(tower, [element() for _ in range(rng.randint(0, max_deg))])
-        assert parse_poly(print_poly(p), tower) == p, print_poly(p)
-        f = random_factored(rng, tower, random_kappa(rng, tower))
-        assert parse_factored(print_factored(f), tower) == f, print_factored(f)
+        for t in (tower, deep):
+            p = Polynomial(t, [element(t) for _ in range(rng.randint(0, max_deg))])
+            assert parse_poly(print_poly(p), t) == p, print_poly(p)
+            f = random_factored(rng, t, random_kappa(rng, t))
+            assert parse_factored(print_factored(f), t) == f, print_factored(f)
 
 
 def _deep_tower():

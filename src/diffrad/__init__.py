@@ -6,6 +6,8 @@ consequences for factorial-polynomial power equations and zero-counting
 divisors.  All arithmetic is exact.  The integrated counts N(r) are
 enclosed by integer pairs, and floating point appears only in their last
 step: each enclosure is rounded to a reported value and an error bound.
+check_truncation's integrated verdict (N_holds) is still a float test on
+those values, with the error bounds as slack.
 """
 
 from .divisor import (

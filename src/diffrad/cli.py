@@ -29,6 +29,8 @@ from .fermat import FermatInstance, Form, check_fermat_theorem
 from .field import FieldElement, FieldTower, default_tower
 from .mason import check_mason_multi, check_mason_triple
 from .parser import (
+    _MAX_LITERAL,
+    MAX_DIGITS,
     MAX_POWER,
     iter_objects,
     parse_constant,
@@ -101,10 +103,16 @@ def _parse_radii(text: str) -> list[Fraction]:
         chunk = chunk.strip()
         if not chunk:
             continue
+        # Fraction builds 10**exponent in full: 1e9999999 takes seconds.
+        if len(chunk.lower().partition("e")[2].lstrip("+-0")) > 4:
+            raise ParseError(f"bad radius {chunk!r}: exponent past 9999")
         try:
-            out.append(Fraction(chunk))
+            r = Fraction(chunk)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad radius {chunk!r}") from exc
+        if max(abs(r.numerator), r.denominator) > _MAX_LITERAL:
+            raise ParseError(f"bad radius {chunk!r}: past {MAX_DIGITS} digits")
+        out.append(r)
     if not out:
         raise ParseError("--radii needs at least one value")
     return out
@@ -123,6 +131,13 @@ def _read_divisor(session: Session, inline: str | None, path: str | None) -> Div
         raise ParseError(f"cannot read {path}: {exc}") from exc
     entries = [parse_root_mult(obj, session.tower) for obj in iter_objects(lines)]
     return Divisor(session.tower, entries)
+
+
+def _parse_expanded(text: str, tower: FieldTower) -> FactoredPoly:
+    f = parse_factored(text, tower)  # multiplied out, so capped like a parsed power
+    if f.degree > MAX_POWER:
+        raise ParseError(f"the degree of a factored polynomial is capped at {MAX_POWER}")
+    return f
 
 
 def _emit(session: Session, command: str, payload: dict, text_lines: list[str]) -> None:
@@ -178,7 +193,7 @@ def cmd_radical(session: Session, args) -> int:
 
     factored = None
     if args.factored is not None:
-        factored = parse_factored(args.factored, session.tower)
+        factored = _parse_expanded(args.factored, session.tower)
         poly = factored.expand()
     else:
         poly = parse_poly(args.poly, session.tower)
@@ -261,7 +276,7 @@ def cmd_divisor(session: Session, args) -> int:
     if args.ord_inequality:
         if not args.inputs:
             raise ParseError("--ord-inequality needs factored polynomials")
-        gs = [parse_factored(text, session.tower) for text in args.inputs]
+        gs = [_parse_expanded(text, session.tower) for text in args.inputs]
         report = check_ord_inequality(gs, session.kappa, radii)
         return _emit_report(session, "divisor", report)
 

@@ -26,7 +26,7 @@ once, both from one certified integer box of each distinct |w|^2, at most
 placement decides a radius by the box only when the radius lies strictly
 outside it; ties (rational |w|^2 only) are decided exactly, and a radius
 inside the box goes to the exact sign recursion (field.compare_real), so
-every verdict stays exact.  A sweep is a weighted prefix sum over the table:
+every count stays exact.  A sweep is a weighted prefix sum over the table:
 one weight list gives per-radius masses and log sums, and so n(r) and N(r)
 at every radius.  No floating point enters before its last step, which
 rounds the enclosure of each radius to a value and an error bound.
@@ -310,14 +310,13 @@ class _Table:
         radii = self.radii
         if radii[0] <= 0:
             raise ValueError("integrated counting needs a positive radius")
-        weights = list(weights)
-        counts = self.counts(weights)
         if self._log_radii is None:
             self._log_radii = [_log_fixed(r.numerator, r.denominator, _LOG_PREC) for r in radii]
         size = len(radii) + 1
-        mass, logs_lo, logs_hi = [0] * size, [0] * size, [0] * size
+        closed, mass, logs_lo, logs_hi = [0] * size, [0] * size, [0] * size, [0] * size
         for w, c in weights:
             abs_sq, k, tie = self.place(w)
+            closed[k] += c
             k += tie
             mass[k] += c
             if abs_sq and k < len(radii):
@@ -329,7 +328,7 @@ class _Table:
         out = []
         inside = sum_lo = sum_hi = 0
         scale = 1 << (_LOG_PREC + 2)  # (lo + hi) / scale is the midpoint of N(r)
-        rows = zip(self._log_radii, counts, mass, logs_lo, logs_hi)
+        rows = zip(self._log_radii, itertools.accumulate(closed), mass, logs_lo, logs_hi)
         for (r_lo, r_hi), n_val, c, c_lo, c_hi in rows:
             inside, sum_lo, sum_hi = inside + c, sum_lo + c_lo, sum_hi + c_hi
             if inside < 0:
@@ -384,7 +383,8 @@ def check_truncation(D: Divisor, kappa, q: int, n: int, radii: Sequence) -> Chec
             <= n_count(factorial_divisor(D, kappa, q), r),
 
     whose right side is sum_{i=0}^{q-1} n_count(shift_divisor(D, i*kappa), r),
-    and the integrated level asserts the same shape up to certified error.
+    and the integrated level (N_holds) asserts the same shape as a float
+    test on the rounded values, with their summed error bounds as slack.
     The integrated comparison is only asserted at radii >= 1: below that
     the origin term carries a negative log r weight and integrating the
     count-level inequality no longer preserves its direction, so those rows
@@ -468,8 +468,6 @@ def check_ord_inequality(
     if m < 2:
         raise ValueError(f"need at least two summands, got {m}")
     tower = gs[0].tower
-    if any(g.tower != tower for g in gs):
-        raise ValueError("all summands must share one coefficient tower")
     kappa_el = require_shift(tower, kappa, "order inequality")
     # Given radii are checked before a failed hypothesis can end the check.
     given = None if radii is None else _Table(radii)

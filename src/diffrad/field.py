@@ -322,7 +322,9 @@ class FieldTower:
     """Q with a fixed chain of adjoined square roots.
 
     Towers are immutable; adjoining returns a tower whose generator list
-    extends this one, so elements of the smaller tower lift losslessly.
+    extends this one.  Arithmetic takes elements of one tower (the same
+    generators) and raises ValueError on any other; `FieldElement.lift_to` is
+    the only way into a larger tower, and only equality compares across them.
     rationals() is one shared Q and each tower builds its child for a
     radicand once, so a chain rebuilt from the same generators is the same
     object, memos included.  FieldTower(gens, signs) builds a fresh one.
@@ -386,9 +388,6 @@ class FieldTower:
         return self._gens[: len(other._gens)] == other._gens
 
     def element(self, coords) -> "FieldElement":
-        coords = tuple(coords)
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
         return FieldElement(self, coords)
 
     def rational(self, q) -> "FieldElement":
@@ -494,9 +493,7 @@ class FieldTower:
         if isinstance(value, FieldElement):
             if value.tower is self or value.tower == self:
                 return value
-            if self.extends(value.tower):
-                return value.lift_to(self)
-            raise ValueError("element belongs to an incompatible tower")
+            raise ValueError("element belongs to another tower; lift_to moves it")
         return self.rational(value)
 
     def _bounds(self, prec: int) -> tuple:
@@ -537,6 +534,8 @@ class FieldElement:
 
     def __init__(self, tower: FieldTower, coords):
         fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
+        if len(fracs) != tower.dim:
+            raise ValueError(f"expected {tower.dim} coordinates, got {len(fracs)}")
         den = lcm(*[c.denominator for c in fracs])
         self.tower = tower
         self._num = tuple([c.numerator * (den // c.denominator) for c in fracs])
@@ -573,14 +572,8 @@ class FieldElement:
         return _make(tower, self._num + pad, self._den)
 
     def _pair(self, other) -> tuple["FieldElement", "FieldElement"]:
-        if isinstance(other, FieldElement):
-            if other.tower is self.tower or other.tower == self.tower:
-                return self, other
-            if other.tower.extends(self.tower):
-                return self.lift_to(other.tower), other
-            if self.tower.extends(other.tower):
-                return self, other.lift_to(self.tower)
-            raise ValueError("elements of incompatible towers")
+        if isinstance(other, FieldElement):  # ValueError from another tower
+            return self, other if other.tower is self.tower else self.tower._coerce(other)
         if isinstance(other, (int, Fraction)):
             return self, self.tower.rational(other)
         return self, NotImplemented
@@ -651,11 +644,9 @@ class FieldElement:
             )
         if not isinstance(other, FieldElement):
             return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except ValueError:
-            return False
-        return a._den == b._den and a._num == b._num
+        # A value equals its lift into a tower that extends its own.
+        a, b = (self, other) if self.tower.extends(other.tower) else (other, self)
+        return a.tower.extends(b.tower) and a == b.lift_to(a.tower)
 
     def __hash__(self):
         h = self._hash

@@ -105,7 +105,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            other = Polynomial(self.tower, (other,))
+            return len(self.coeffs) <= 1 and self.constant_value() == other
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -119,14 +119,9 @@ class Polynomial:
 
     # -- ring operations -----------------------------------------------------
 
-    def _same_tower(self, q: "Polynomial") -> "Polynomial":
-        """q with its coefficients in this polynomial's tower (the kernels
-        below combine coordinates of one tower only)."""
-        return q if q.tower is self.tower else Polynomial(self.tower, q.coeffs)
-
     def _coerce_operand(self, other):
-        if isinstance(other, Polynomial):
-            return other
+        if isinstance(other, Polynomial):  # ValueError from another tower
+            return other if other.tower is self.tower else Polynomial(self.tower, other.coeffs)
         if isinstance(other, (int, Fraction, FieldElement)):
             return Polynomial(self.tower, (other,))
         return None
@@ -163,7 +158,6 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or q.is_zero():
             return Polynomial.zero(self.tower)
-        q = self._same_tower(q)
         out = [self.tower.zero] * (len(self.coeffs) + len(q.coeffs) - 1)
         for j, a in enumerate(self.coeffs):
             if a:
@@ -193,7 +187,6 @@ class Polynomial:
             raise ZeroPolynomialError("division by the zero polynomial")
         if self.degree < d.degree:
             return Polynomial.zero(self.tower), self
-        d = self._same_tower(d)
         # The leading term of each step cancels by construction, so only the
         # lower coefficients of the divisor are subtracted; a monic divisor,
         # as in every Euclid step after the first, needs no scaling.
@@ -339,15 +332,11 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     once enough are taken, Chinese remaindering and rational reconstruction
     return the gcd itself.
     """
+    p._coerce_operand(q)  # ValueError unless both share one tower
     if p.is_zero() or q.is_zero():
         if p.is_zero() and q.is_zero():
             raise ZeroPolynomialError("gcd(0, 0) is undefined")
         return (q if p.is_zero() else p).monic()
-    # Both into the larger tower; incompatible towers raise ValueError.
-    if q.tower.extends(p.tower):
-        p = q._same_tower(p)
-    else:
-        q = p._same_tower(q)
     tower = p.tower
     if p.is_constant() or q.is_constant():
         return Polynomial(tower, (1,))

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: output shapes and the exit contract."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffrad import cli, default_tower, errors, field, modular
 from diffrad.cli import main
@@ -604,3 +607,130 @@ def test_report_output_is_built_only_for_its_mode(monkeypatch, capsys, argv):
     monkeypatch.undo()
     monkeypatch.setattr(cli.CheckReport, "to_json_dict", unused)
     assert run(capsys, argv) == (code, text)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["radical", "--factored", "1;(1,10000000)"], "factored polynomial is capped at 200"),
+        (["radical", "--factored", "1;(1,100),(2,101)"], "factored polynomial is capped at 200"),
+        (["divisor", "--ord-inequality", "1;(0,201)", "1;(1,1)"], "capped at 200"),
+        (["divisor", "--divisor", "(1,1)", "--radii", "1e9999999"], "exponent past 9999"),
+        (["divisor", "--divisor", "(1,1)", "--radii", "2,1e-4300"], "past 4300 digits"),
+    ],
+    ids=["multiplicity 10^7", "degree 201", "ord-inequality", "radius 1e9999999", "radius 1e-4300"],
+)
+def test_inputs_that_would_run_for_seconds_are_parse_errors(capsys, argv, message):
+    start = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("diffrad: ") and message in err and err.count("\n") == 1
+
+
+def test_largest_factored_degree_and_radius_still_answer(capsys):
+    assert main(["radical", "--factored", "1;(1,100),(2,100)"]) == 0
+    assert main(["divisor", "--divisor", "(1,1)", "--radii", "1e4299,1e-4299", "--truncation"]) == 0
+
+
+# -- the exit contract on drawn argv ------------------------------------------
+#
+# Every subcommand, with 0 to 7 --adjoin (square, zero and repeated
+# radicands, and enough of them to pass the depth cap), orders from -5 to
+# 500, exponents up to 10^7, literals of 4300 and 5001 digits, and stray
+# characters.  Each call ends in 0, 1, 2 or 3 with no traceback, well inside
+# CLI_CALL_SECONDS; the heaviest valid draws here take under a second.
+
+CLI_CALL_SECONDS = 10.0
+
+# New radicands come in one order, so that the session builds each tower,
+# up to the depth-8 one, once.
+_ADJOIN = st.one_of(
+    st.just([]),
+    st.integers(1, 7).map(lambda k: [5, 7, 11, 13, 17, 19, 23][:k]),
+    st.lists(st.sampled_from([0, 4, -1, 2, 5, 7]), max_size=7),
+)
+_ORDER = st.integers(-5, 500).map(str)
+# A term is small three times in four; strays are rare, so that a good share
+# of the draws is valid and runs to a verdict.
+_STRAY = st.sampled_from([""] * 8 + ["$", ")", "(", "^", ";", ",", "q", "٣", "sqrt(", "**"])
+_LITERAL = st.sampled_from(["3", "1/2", "-1", "0", "9" * 4300, "1" + "0" * 5000])
+_BASE = st.sampled_from(["z", "(z+1)", "(z-i)", "(z+sqrt(2))", "(z+1+i+sqrt(2)+sqrt(3))", "sqrt(5)"])
+_SMALL_TERM = st.tuples(_BASE, st.integers(0, 7)).map(lambda t: f"{t[0]}^{t[1]}")
+_LARGE_TERM = st.one_of(
+    _LITERAL, st.tuples(_BASE, st.sampled_from([200, 201, 10**7])).map(lambda t: f"{t[0]}^{t[1]}")
+)
+_TERM = st.one_of(_SMALL_TERM, _SMALL_TERM, _SMALL_TERM, _LARGE_TERM)
+
+
+def _with_stray(text):
+    return st.tuples(text, _STRAY, st.booleans()).map(lambda t: t[0] + t[1] if t[2] else t[1] + t[0])
+
+
+_POLY = _with_stray(st.lists(_TERM, min_size=1, max_size=3).map(" + ".join))
+_ROOT = st.sampled_from(["0", "1", "-2", "i", "sqrt(2)", "1+i+sqrt(3)", "1/2", "sqrt(5)"])
+_MULT = st.sampled_from([1, 2, 3, 1, 2, 3, -1, 0, 200, 201, 10**7])
+_ENTRIES = st.lists(st.tuples(_ROOT, _MULT).map(lambda t: f"({t[0]},{t[1]})"), max_size=3).map(",".join)
+_FACTORED = _with_stray(st.tuples(_LITERAL, _ENTRIES).map(lambda t: f"{t[0]};{t[1]}"))
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _concat(*parts):
+    return st.tuples(*parts).map(lambda ps: [arg for part in ps for arg in part])
+
+
+# Three or four polynomials twice in three draws, else too few.
+_POLYS = st.one_of(*[st.lists(_POLY, min_size=3, max_size=4)] * 2, st.lists(_POLY, max_size=2))
+_COMMANDS = st.one_of(
+    _concat(
+        st.just(["radical"]),
+        st.one_of(_POLY.map(lambda p: [p]), _FACTORED.map(lambda f: ["--factored", f])),
+        _flag("--m", _ORDER), _switch("--classical"), _switch("--oracle"),
+    ),
+    _concat(st.just(["mason"]), _POLYS, _switch("--multi")),
+    _concat(
+        st.just(["fermat"]), _POLYS,
+        _flag("--n", _ORDER), _flag("--form", st.sampled_from(["xyz", "sum", "sum1", "abc"])),
+    ),
+    _concat(
+        st.just(["divisor", "--divisor"]), _ENTRIES.map(lambda e: [e]),
+        _switch("--truncation"), _flag("--q", _ORDER), _flag("--n", _ORDER),
+        _flag("--radii", st.sampled_from(["1,2", "0", "-1", "1/3,5", "x", "2.5e1", "1e4300", "1e9999999"])),
+    ),
+    _concat(
+        st.just(["divisor", "--ord-inequality"]), st.lists(_FACTORED, max_size=3),
+        _flag("--q", _ORDER), _flag("--radii", st.sampled_from(["1,2", "1e9999999"])),
+    ),
+    _concat(
+        st.just(["examples"]),
+        st.lists(st.sampled_from(["shift-chain-radical", "sharp-triple-deg2", "nope"]), max_size=2),
+    ),
+)
+_ARGV = _concat(
+    _COMMANDS,
+    _ADJOIN.map(lambda ds: [arg for d in ds for arg in ("--adjoin", str(d))]),
+    _flag("--kappa", st.sampled_from(["1", "0", "i", "1/2", "sqrt(2)", "$"])),
+    _switch("--json"),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=_ARGV)
+def test_cli_contract_on_drawn_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert time.monotonic() - start < CLI_CALL_SECONDS, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -141,7 +141,10 @@ def test_rejects_bad_multiplicities_and_points(tower):
             Divisor(tower, [(0, mult)])
 
     rational_pt = FieldTower.rationals().rational(Fraction(1, 2))
-    assert Divisor(tower, [(rational_pt, 1)]).multiplicity(Fraction(1, 2)) == 1
+    with pytest.raises(ValueError):
+        Divisor(tower, [(rational_pt, 1)])
+    lifted = rational_pt.lift_to(tower)
+    assert Divisor(tower, [(lifted, 1)]).multiplicity(Fraction(1, 2)) == 1
     foreign = FieldTower.rationals().adjoin_sqrt(5).sqrt_gen(0)
     with pytest.raises(ValueError):
         Divisor(tower, [(foreign, 1)])

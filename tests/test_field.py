@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_poly
-from diffrad import FieldTower, compare_real, default_tower, field
+from diffrad import FieldElement, FieldTower, compare_real, default_tower, field
 from diffrad.errors import (
     EnclosureWidthError,
     NonRealRadicandError,
@@ -321,6 +321,16 @@ def test_rationals_tower():
     x = q.rational(Fraction(3, 7))
     assert x + x == q.rational(Fraction(6, 7))
     assert x.as_fraction() == Fraction(3, 7)
+
+
+def test_element_takes_one_coordinate_per_basis_element(any_tower):
+    t = any_tower
+    assert FieldElement(t, range(t.dim)) == t.element(range(t.dim))
+    for count in (0, 1, t.dim - 1, t.dim + 1):
+        with pytest.raises(ValueError, match=f"expected {t.dim} coordinates, got {count}"):
+            FieldElement(t, [1] * count)
+        with pytest.raises(ValueError, match=f"expected {t.dim} coordinates"):
+            t.element([1] * count)
 
 
 def test_incompatible_towers_rejected(tower):

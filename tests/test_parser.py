@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_poly
+from conftest import _nested_tower, _tden_tower
 from diffrad import (
     FactoredPoly,
     FieldTower,
@@ -290,6 +291,57 @@ def test_parser_matches_dense_oracle_on_printed_input(any_tower, data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     f = random_factored(rng, t, random_kappa(rng, t))
     _agree(print_factored(f), t)
+
+
+def _rational_towers():
+    """Rational-radicand towers of depth 0, 1, 3 and 5; the last is the one
+    `--adjoin 5 --adjoin 7` builds on the default tower."""
+    q = FieldTower.rationals()
+    default = q.adjoin_sqrt(-1).adjoin_sqrt(2).adjoin_sqrt(3)
+    return {0: q, 1: q.adjoin_sqrt(-1), 3: default, 5: default.adjoin_sqrt(5).adjoin_sqrt(7)}
+
+
+# Sparse coordinates with a few long numerators and denominators.
+_WIDE_COORD = st.one_of(
+    st.just(0), st.just(0), st.just(0),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**20)),
+)
+
+
+def _printed_polys(t):
+    element = st.lists(_WIDE_COORD, min_size=t.dim, max_size=t.dim).map(t.element)
+    return st.lists(element, max_size=5).map(lambda cs: Polynomial(t, cs))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 5])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_print_parse_round_trip_on_rational_towers(depth, data):
+    t = _rational_towers()[depth]
+    p = data.draw(_printed_polys(t))
+    assert parse_poly(print_poly(p), t) == p
+
+
+@pytest.mark.parametrize("make", [_nested_tower, _tden_tower], ids=["nested", "tden"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_print_parse_refuses_nested_radicands(make, data):
+    """A nested radicand prints as sqrt(<tower element>), which the grammar
+    refuses: re-parsing raises ParseError, or returns the same polynomial
+    when no coefficient uses the nested root."""
+    t = make()
+    p = data.draw(_printed_polys(t))
+    nested = 1 << (t.depth - 1)
+    uses_nested = any(any(c._num[nested:]) for c in p.coeffs)
+    try:
+        back = parse_poly(print_poly(p), t)
+    except ParseError:
+        assert uses_nested
+    else:
+        assert not uses_nested and back == p
+    with pytest.raises(ParseError, match="sqrt argument must be a rational constant"):
+        parse_poly(print_poly(Polynomial(t, (t.sqrt_gen(t.depth - 1),))), t)
 
 
 # Well-formed expressions too, so that most of them evaluate.  Powers take

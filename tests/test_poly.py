@@ -39,7 +39,7 @@ from diffrad.generators import (
     random_kappa,
     random_poly,
 )
-from diffrad.poly import shift_window_excess
+from diffrad.poly import require_shift, shift_window_excess
 
 
 def _rand_pair(rng, tower):
@@ -808,20 +808,41 @@ def test_shift_window_excess_matches_brute_force(any_tower):
                     assert shift_window_excess(order, w, kappa, m) == brute
 
 
-def test_kernels_lift_subtower_operands(tower):
-    sub = FieldTower.rationals().adjoin_sqrt(-1)
+@pytest.mark.parametrize("radicand", [-1, 5], ids=["Q(i)", "Q(sqrt5)"])
+def test_arithmetic_takes_one_home_tower(tower, radicand):
+    """Sums, products, divisions, gcds, divisors and shifts take operands of
+    one tower in either order; only equality compares across towers, and
+    lift_to is the one way into a larger tower."""
+    sub = FieldTower.rationals().adjoin_sqrt(radicand)
     p = Polynomial(tower, (tower.sqrt_gen(1), 1))
     q = Polynomial(sub, (sub.sqrt_gen(0), 2, 1))
-    lifted = Polynomial(tower, q.coeffs)
-    assert p * q == p * lifted
-    assert divmod(p * q + p, q) == divmod(p * lifted + p, lifted)
-    other = FieldTower.rationals().adjoin_sqrt(5)
-    r = Polynomial(other, (other.sqrt_gen(0), 1))
-    for a, b in ((q, p), (p, r), (r, p)):
+    x, y = tower.sqrt_gen(2) + 1, sub.sqrt_gen(0) + 3
+    for a, b, u, v in ((p, q, x, y), (q, p, y, x)):
+        calls = (
+            lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b),
+            lambda: gcd(a, b), lambda: u + v, lambda: u - v, lambda: u * v, lambda: u / v,
+            lambda: Divisor(a.tower, [(v, 1)]), lambda: require_shift(a.tower, v, "test"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+    up = sub.adjoin_sqrt(2)
+    lifted_y = y.lift_to(up)
+    assert y == lifted_y and lifted_y == y and hash(y) == hash(lifted_y)
+    assert Polynomial(up, [c.lift_to(up) for c in q.coeffs]) == q
+    if not tower.extends(sub):
         with pytest.raises(ValueError):
-            a * b
-        with pytest.raises(ValueError):
-            divmod(a * a * a, b)
+            y.lift_to(tower)
+        return
+    lq = Polynomial(tower, [c.lift_to(tower) for c in q.coeffs])
+    ly = y.lift_to(tower)
+    assert lq == q and q == lq and ly == y
+    assert p + lq == lq + p and (p - lq) + lq == p
+    assert divmod(p * lq + p, lq) == (p, p)
+    assert gcd(p * lq, lq) == gcd(lq, p * lq) == lq.monic()
+    assert (x + ly) - ly == x and (x * ly) / ly == x
+    assert Divisor(tower, [(ly, 1)]).multiplicity(ly) == 1
+    assert require_shift(tower, ly, "test") == y
 
 
 # -- the shift and order contract of every public entry point --------------
