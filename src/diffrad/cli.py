@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .divisor import (
+    DEFAULT_RADII,
     Divisor,
     check_ord_inequality,
     check_truncation,
@@ -386,7 +387,9 @@ def _build_parser() -> _Parser:
     p_div.add_argument("--file", help="file with one (root,mult) per line")
     p_div.add_argument("--q", type=int, default=1, help="truncation order")
     p_div.add_argument("--n", type=int, default=1, help="factorial order for --truncation")
-    p_div.add_argument("--radii", default="1,2,5,10", help="comma-separated rational radii")
+    p_div.add_argument(
+        "--radii", default=",".join(map(str, DEFAULT_RADII)), help="comma-separated rational radii"
+    )
     p_div.add_argument("--truncation", action="store_true", help="run the truncation check")
     p_div.add_argument("--ord-inequality", action="store_true", help="run the order inequality check")
     p_div.set_defaults(func=cmd_divisor)

@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DependentInputsError, EnclosureWidthError, ZeroSumError
 from .field import FieldElement, compare_real, scaled_box
@@ -437,17 +436,12 @@ def check_truncation(D: Divisor, kappa, q: int, n: int, radii: Sequence) -> Chec
     )
 
 
-def _cover_radius(points: Iterable[FieldElement]) -> Fraction:
-    """A rational radius whose closed disc contains every given point."""
-    top = 0
-    for w in points:
-        (_, high, _, _), scale = scaled_box(w.abs_squared(), 16)
-        top = max(top, -(-high // scale))
-    return Fraction(math.isqrt(top) + 1)
+# The radii of check_ord_inequality's aggregate, and of the CLI's --radii.
+DEFAULT_RADII = (1, 2, 5, 10)
 
 
 def check_ord_inequality(
-    gs: Sequence[FactoredPoly], kappa, radii: Sequence | None = None
+    gs: Sequence[FactoredPoly], kappa, radii: Sequence = DEFAULT_RADII
 ) -> CheckReport:
     """Per-point order inequality for G = g_1 ... g_{m+1} / C.
 
@@ -462,20 +456,19 @@ def check_ord_inequality(
     exactly; for those the inequality reduces to
     min_i ord_{w+i*kappa}(g_{m+1}) <= ord_w(C), which is certified globally
     by checking that the shift-gcd of the sum divides C. The count-level
-    aggregate over candidate points is reported at each radius.
+    aggregate over candidate points is reported at each radius, by default
+    those of the CLI's --radii.
     """
     m = len(gs)
     if m < 2:
         raise ValueError(f"need at least two summands, got {m}")
     tower = gs[0].tower
     kappa_el = require_shift(tower, kappa, "order inequality")
-    # Given radii are checked before a failed hypothesis can end the check.
-    given = None if radii is None else _Table(radii)
+    # The radii are checked before a failed hypothesis can end the check.
+    table = _Table(radii)
 
     dense = [g.expand() for g in gs]
-    total = Polynomial.zero(tower)
-    for p in dense:
-        total = total + p
+    total = sum(dense, Polynomial.zero(tower))
     if total.is_zero():
         raise ZeroSumError("the summands add up to zero")
     # For polynomials the Casoratian vanishes exactly on dependent inputs.
@@ -523,7 +516,6 @@ def check_ord_inequality(
                 violations.append({"point": str(w), "lhs": lhs_w, "rhs": rhs_w})
 
         # Each point placed once among the radii; the aggregates are prefix sums.
-        table = given or _Table([1, 2, 5, 10, _cover_radius(ordered)])
         lhs_sums = table.counts((w, lhs_w) for w, lhs_w, _ in point_rows)
         rhs_sums = table.counts((w, rhs_w) for w, _, rhs_w in point_rows)
         per_radius = [

@@ -117,18 +117,12 @@ def verify_fermat(inst: FermatInstance, coprimality: str = "setwise") -> CheckRe
 
         facts = inst.factorials()
         if inst.form == Form.SUM_ONE:
-            target = Polynomial(tower, (1,))
-            lhs_sum = Polynomial.zero(tower)
-            for f in facts:
-                lhs_sum = lhs_sum + f
+            summands, target = facts, Polynomial(tower, (1,))
             eq_detail = "factorial powers sum to 1"
         else:
-            target = facts[-1]
-            lhs_sum = Polynomial.zero(tower)
-            for f in facts[:-1]:
-                lhs_sum = lhs_sum + f
+            summands, target = facts[:-1], facts[-1]
             eq_detail = "factorial powers of the first bases sum to the last"
-        diff = lhs_sum - target
+        diff = sum(summands, Polynomial.zero(tower)) - target
         eq_ok = diff.is_zero()
         yield Hypothesis(
             "equation",
@@ -163,14 +157,9 @@ def check_fermat_theorem(inst: FermatInstance, coprimality: str = "setwise") -> 
     artifacts = dict(report.artifacts)
     artifacts["max_deg"] = max_deg
 
-    if inst.form == Form.XYZ:
-        if any(p.degree == 0 for p in inst.ps):
-            rhs: Fraction | int = 1
-            artifacts["bound_source"] = "one base constant"
-        else:
-            bound = fermat_bound(Form.SUM_FACTORIAL, 2, max_deg)
-            rhs = bound.exact
-            artifacts["corollary_bound"] = bound.corollary
+    if inst.form == Form.XYZ and any(p.degree == 0 for p in inst.ps):
+        rhs: Fraction | int = 1
+        artifacts["bound_source"] = "one base constant"
     else:
         bound = fermat_bound(inst.form, inst.m, max_deg)
         rhs = bound.exact

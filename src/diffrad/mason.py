@@ -10,6 +10,7 @@ multi-term case; its determinant is computed fraction-free.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .poly import Polynomial, gcd, multi_gcd, require_shift
@@ -37,15 +38,17 @@ def casoratian(ps: Sequence[Polynomial], kappa) -> Polynomial:
     det[d_j^i] = prod_{j<k} (d_k - d_j), nonzero for distinct d_j.
 
     So Bareiss runs on those rows, row i built as Delta of row i - 1, bottom
-    row first: Delta^(m-1) p_j, constants or zero, are the first pivots, and
-    reversing m rows flips the sign m(m-1)/2 times.
+    row first, and reversing m rows flips the sign m(m-1)/2 times.  Row i
+    has degree at most d_j - i in column j, so the bottom row, of the lowest
+    degrees, gives the first pivot.  Its entry Delta^(m-1) p_j vanishes when
+    d_j < m - 1; the pivot search steps past such zeros.
     """
     if not ps:
         raise ValueError("casoratian of an empty list")
     kappa = require_shift(ps[0].tower, kappa, "casoratian")
     rows = [list(ps)]
     for _ in range(1, len(ps)):
-        rows.append([q.taylor_shift(kappa) - q for q in rows[-1]])
+        rows.append([q.delta(kappa) for q in rows[-1]])
     det = _det_bareiss(rows[::-1])
     return -det if len(ps) * (len(ps) - 1) // 2 % 2 else det
 
@@ -53,17 +56,13 @@ def casoratian(ps: Sequence[Polynomial], kappa) -> Polynomial:
 def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
     """Fraction-free determinant; every division is exact in the poly ring."""
     n = len(mat)
-    tower = mat[0][0].tower
-    if n == 1:
-        return mat[0][0]
     m = [row[:] for row in mat]
     sign = 1
     prev = None  # the last pivot; 1 in round 0, which therefore divides by nothing
-    zero = Polynomial.zero(tower)
     for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
         if pivot_row is None:
-            return zero
+            return Polynomial.zero(m[0][0].tower)
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
@@ -71,7 +70,6 @@ def _det_bareiss(mat: list[list[Polynomial]]) -> Polynomial:
             for j in range(k + 1, n):
                 entry = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = entry if prev is None else entry.divide_exact(prev)
-            m[i][k] = zero
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
@@ -103,10 +101,9 @@ def _coprime_hypothesis(ps: Sequence[Polynomial], mode: str) -> Hypothesis:
         ok, witness = pairwise_coprime(ps)
         detail = "no two share a factor" if ok else f"common factor {witness}"
     elif mode == "setwise":
-        ok = setwise_coprime(ps)
-        detail = (
-            "no factor common to all" if ok else f"common factor {multi_gcd(ps)}"
-        )
+        common = multi_gcd(ps)
+        ok = common.degree == 0
+        detail = "no factor common to all" if ok else f"common factor {common}"
     else:
         raise ValueError(f"unknown coprimality mode {mode!r}")
     return Hypothesis(f"coprime ({mode})", ok, detail)
@@ -167,10 +164,7 @@ def check_mason_multi(
         yield Hypothesis(
             "nonzero", nonzero, "all inputs nonzero" if nonzero else "a zero input"
         )
-        total = Polynomial.zero(tower)
-        for p in ps[:-1]:
-            total = total + p
-        sum_ok = total == ps[-1]
+        sum_ok = sum(ps[:-1], Polynomial.zero(tower)) == ps[-1]
         yield Hypothesis(
             "sum",
             sum_ok,
@@ -193,9 +187,7 @@ def check_mason_multi(
         rhs = sum(tildes) - m * (m - 1) // 2
 
         # Each cofactor is already the monic gcd of the m shifts of its input.
-        q = Polynomial(tower, (1,))
-        for r in results:
-            q = q * r.cofactor
+        q = math.prod((r.cofactor for r in results), start=Polynomial(tower, (1,)))
         divisible = (cas % q).is_zero()
         return dict(
             lhs=lhs,

@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffrad import cli, default_tower, errors, field, modular
+from diffrad import check_ord_inequality, cli, default_tower, errors, field, modular, parse_factored
 from diffrad.cli import main
+from diffrad.divisor import DEFAULT_RADII
 from diffrad.examples import EXPECTED
 
 REQUIRED_KEYS = {"command", "session", "hypotheses", "lhs", "rhs", "holds", "artifacts"}
@@ -222,6 +223,20 @@ def test_divisor_ord_inequality(capsys):
 
     assert main(["divisor", "--ord-inequality", "1;(0,1)", "2;(0,1)"]) == 2
     assert main(["divisor", "--ord-inequality", "1;(0,1)", "-1;(0,1)"]) == 2
+
+
+def test_ord_inequality_radii_default_is_one_list(capsys, tower):
+    """Without radii, the CLI and check_ord_inequality report the same rows:
+    those of DEFAULT_RADII, with no radius added to cover the points."""
+    texts = ["1;(0,2),(3+i,1)", "1;(-12,2)"]
+    code, doc = run_json(capsys, ["divisor", "--ord-inequality", *texts])
+    assert code == 0
+    gs = [parse_factored(text, tower) for text in texts]
+    report = check_ord_inequality(gs, 1)
+    expected = [str(r) for r in DEFAULT_RADII]
+    assert [row["r"] for row in doc["artifacts"]["per_radius"]] == expected
+    assert [row["r"] for row in report.artifacts["per_radius"]] == expected
+    assert doc["artifacts"]["per_radius"] == report.artifacts["per_radius"]
 
 
 def test_examples_runner(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import diffrad.mason
 import naive_poly
 from diffrad import (
     Polynomial,
@@ -27,6 +28,7 @@ from diffrad.generators import (
     random_mason_tuple,
     random_poly,
 )
+from diffrad.mason import _coprime_hypothesis
 
 
 def test_casoratian_known_values(tower):
@@ -87,6 +89,25 @@ def test_casoratian_matches_cofactor_expansion(tower):
                 coeffs[-1] = coeffs[-1] or tower.one
                 ps.append(Polynomial(tower, coeffs))
             assert casoratian(ps, k) == naive_poly.casoratian(ps, k), (degrees, k)
+
+
+def test_casoratian_matches_cofactor_expansion_on_every_tower(any_tower):
+    """The Delta rows and Bareiss against cofactors of the shifted rows, on
+    every test tower, with a rational and an irrational kappa (the top root,
+    whose basis table has a denominator in the tden tower).  Distinct degrees
+    make the inputs independent, so no determinant is zero; degrees below
+    m - 1 zero some of the first pivot candidates."""
+    t = any_tower
+    rng = random.Random(73)
+    for k in (t.rational(Fraction(-3, 2)), t.sqrt_gen(t.depth - 1) + Fraction(1, 3)):
+        for m in range(1, 5):
+            ps = []
+            for d in rng.sample(range(5), m):
+                coeffs = [random_element(rng, t, 3, 0.4) for _ in range(d + 1)]
+                coeffs[-1] = coeffs[-1] or t.one
+                ps.append(Polynomial(t, coeffs))
+            det = casoratian(ps, k)
+            assert det == naive_poly.casoratian(ps, k) and not det.is_zero(), (m, k)
 
 
 def test_determinant_routes_agree_on_matrices(tower):
@@ -244,6 +265,24 @@ def test_multi_coprimality_modes(tower):
     assert rep.hypotheses_ok
     with pytest.raises(ValueError):
         check_mason_multi(ps, 1, coprimality="sideways")
+
+
+def test_setwise_verdict_takes_one_gcd(tower, monkeypatch):
+    """The setwise gcd gives both the verdict and the witness of a shared
+    factor, so it runs once."""
+    calls = []
+    multi_gcd = diffrad.mason.multi_gcd
+
+    def spy(ps):
+        calls.append(len(ps))
+        return multi_gcd(ps)
+
+    monkeypatch.setattr(diffrad.mason, "multi_gcd", spy)
+    z = Polynomial.variable(tower)
+    ps = [z * (z + 1), z * (z - 2), z * z]
+    hyp = _coprime_hypothesis(ps, "setwise")
+    assert not hyp.passed and hyp.detail == "common factor z"
+    assert calls == [3]
 
 
 def test_multi_holds_bulk(tower):
