@@ -458,6 +458,12 @@ def check_ord_inequality(
     by checking that the shift-gcd of the sum divides C. The count-level
     aggregate over candidate points is reported at each radius, by default
     those of the CLI's --radii.
+
+    Most of the orders of C and of the dense sum asked here are 0, and an
+    F_p image certifies each such 0 without exact work: for the ring map
+    phi of `Polynomial.ord_at`, under which the coefficients and w are
+    integral, phi(C)(phi(w)) != 0 proves C(w) != 0, so ord_w(C) = 0.  Only
+    where the image vanishes does exact Horner run.
     """
     m = len(gs)
     if m < 2:

@@ -20,7 +20,8 @@ reconstruction.  The gcd or chain runs once per distinct image: it depends
 only on p and the residues, so branches whose residues coincide share it.
 Input from a subfield makes whole groups of branches coincide.  Nothing
 here proves a candidate; the callers in `poly` do, by exact division over
-the tower.
+the tower.  `Polynomial.ord_at` reads branch 0 of the first image alone: a
+nonzero value of the image there proves a nonzero value over the tower.
 
 Everything here runs on raw integer coordinates and touches no FieldElement
 arithmetic.  The suitable primes of a tower are found lazily, by a scan
@@ -220,6 +221,14 @@ def _all_branches(coeffs, image: Image):
         v = _transform([x % p for x in c._num], steps, p)
         columns.append(v if f == 1 else [x * f % p for x in v])
     return list(zip(*columns))
+
+
+def eval_mod(c: list, x: int, p: int) -> int:
+    """c(x) in F_p, by Horner on a residue list (ascending)."""
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * x + a) % p
+    return acc
 
 
 def gcd_mod(a: list, b: list, p: int) -> list:

@@ -51,7 +51,10 @@ def require_order(value, low: int, what: str) -> None:
 class Polynomial:
     """Coefficients ascending by degree, trailing zeros trimmed."""
 
-    __slots__ = ("tower", "coeffs")
+    # _image: the branch-0 residues of the coefficients under the tower's
+    # first F_p image, set by ord_at on first use (None when ell divides a
+    # denominator).
+    __slots__ = ("tower", "coeffs", "_image")
 
     def __init__(self, tower: FieldTower, coeffs: Iterable[CoeffLike] = ()):
         elems = [
@@ -265,10 +268,29 @@ class Polynomial:
         )
 
     def ord_at(self, w: CoeffLike) -> int:
-        """Multiplicity of w as a root (0 when p(w) != 0)."""
+        """Multiplicity of w as a root (0 when p(w) != 0).
+
+        Most points asked are not roots, and an F_p image proves that
+        without exact work.  phi, branch 0 of the tower's first image mod
+        ell (`modular`), is a ring map from the ell-integral elements onto
+        F_ell.  When ell divides no coefficient denominator of p and not
+        that of w, p(w) is ell-integral and phi(p(w)) = phi(p)(phi(w)); if
+        that is nonzero, so is p(w), and the order is 0.  This is the
+        ring-map argument of `gcd`'s coprimality proof.  phi(p) is computed
+        once per polynomial.  Where the image vanishes, or ell divides a
+        denominator, Horner passes over the tower decide.
+        """
         if self.is_zero():
             raise ZeroPolynomialError("order at a point is undefined for the zero polynomial")
         w = self.tower._coerce(w)
+        image = next(modular.images(self.tower))
+        try:
+            residues = self._image
+        except AttributeError:
+            residues = self._image = modular._branch0(self.coeffs, image)
+        x = None if residues is None else modular._branch0((w,), image)
+        if x is not None and modular.eval_mod(residues, x[0], image.p):
+            return 0
         coeffs = list(self.coeffs)
         order = 0
         while True:
@@ -595,12 +617,8 @@ class FactoredPoly:
         values of all numerators by at most s + sum_u |R_u| * C_u, where C_u
         (`FieldTower._table_norms`) is the largest sum of |v| over one
         product e_u * e_t.  So every final numerator is at most ||lead||_1
-        times those factors, one per linear factor.  B is that bound's bit
-        length plus a sign bit, rounded up to whole 64-bit words.  Adding
-        2**(B-1) to every digit makes them all nonnegative, so int.to_bytes
-        lays them out in B-bit fields, which are read back (one-word digits
-        by struct) and shifted down by 2**(B-1).  Each coefficient is
-        canonicalised once, at the end.
+        times those factors, one per linear factor: `digit_limbs` sizes B
+        from that bound and `unpack_columns` reads the coefficients back.
         """
         tower = self.tower
         table, tden, norms = tower._table, tower._tden, tower._table_norms
@@ -612,9 +630,8 @@ class FactoredPoly:
             grow = scale + sum([abs(r) * norms[u] for u, r in enumerate(root._num) if r])
             bound *= grow**mult
             steps.append((terms, scale, mult))
-        limbs = (bound.bit_length() + 64) >> 6
-        nbytes = limbs << 3
-        shift = nbytes << 3
+        limbs = digit_limbs(bound)
+        shift = limbs << 6
         den = self.leading._den
         cols = list(self.leading._num)
         for terms, scale, mult in steps:
@@ -627,24 +644,7 @@ class FactoredPoly:
                                 out[w] -= r * cw * col
                 cols = out
                 den *= scale
-        n = self.degree + 1
-        size = n * nbytes
-        half = 1 << (shift - 1)
-        offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-        fmt = f"<{n}Q"
-        zero = [0] * n
-        digits = []
-        for col in cols:
-            if not col:
-                digits.append(zero)
-                continue
-            raw = (col + offset).to_bytes(size, "little")
-            if limbs == 1:
-                digits.append([x - half for x in unpack(fmt, raw)])
-            else:
-                words = range(0, size, nbytes)
-                digits.append([int.from_bytes(raw[i : i + nbytes], "little") - half for i in words])
-        return Polynomial(tower, [_make(tower, *_canon(num, den)) for num in zip(*digits)])
+        return unpack_columns(tower, cols, self.degree + 1, limbs, den)
 
     def __eq__(self, other):
         if not isinstance(other, FactoredPoly):
@@ -663,3 +663,43 @@ class FactoredPoly:
         from .parser import print_factored
 
         return print_factored(self)
+
+
+# -- Kronecker substitution, shared by FactoredPoly.expand and mason.casoratian --
+
+
+def digit_limbs(bound: int) -> int:
+    """64-bit words per digit for signed digits of absolute value at most
+    bound: B = bit length of bound plus a sign bit, rounded up to whole words."""
+    return (bound.bit_length() + 64) >> 6
+
+
+def unpack_columns(tower: FieldTower, cols: list, n: int, limbs: int, den: int) -> Polynomial:
+    """The polynomial whose coefficient k has coordinate t equal to
+    (digit k of cols[t]) / den.
+
+    cols[t] is an integer polynomial in z packed at z = 2**B, B = 64*limbs,
+    with n signed digits, each of absolute value below 2**(B-1).  Adding
+    2**(B-1) to every digit makes them all nonnegative, so int.to_bytes lays
+    them out in B-bit fields, which are read back (one-word digits by
+    struct) and shifted down by 2**(B-1).  Each coefficient is
+    canonicalised once.
+    """
+    nbytes = limbs << 3
+    size = n * nbytes
+    half = 1 << ((nbytes << 3) - 1)
+    offset = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    fmt = f"<{n}Q"
+    zero = [0] * n
+    digits = []
+    for col in cols:
+        if not col:
+            digits.append(zero)
+            continue
+        raw = (col + offset).to_bytes(size, "little")
+        if limbs == 1:
+            digits.append([x - half for x in unpack(fmt, raw)])
+        else:
+            words = range(0, size, nbytes)
+            digits.append([int.from_bytes(raw[i : i + nbytes], "little") - half for i in words])
+    return Polynomial(tower, [_make(tower, *_canon(num, den)) for num in zip(*digits)])

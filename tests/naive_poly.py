@@ -204,6 +204,36 @@ def casoratian(ps, kappa) -> Polynomial:
     return det_cofactor(rows)
 
 
+def det_gauss(mat):
+    """Determinant of a square matrix of tower elements by Gaussian
+    elimination with plain FieldElement operations."""
+    rows = [list(row) for row in mat]
+    n = len(rows)
+    det = rows[0][0].tower.one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            return rows[0][0].tower.zero
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        lead = rows[col][col]
+        det = det * lead
+        inv = lead.inverse()
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inv
+            if not factor.is_zero():
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def casoratian_value(ps, kappa, x):
+    """The Casoratian's value at x: the scalar determinant of the entries
+    p_j(x + i*kappa), each evaluated by Horner; polynomial in m."""
+    tower = ps[0].tower
+    kappa, x = tower._coerce(kappa), tower._coerce(x)
+    return det_gauss([[eval_at(p, x + kappa * i) for p in ps] for i in range(len(ps))])
+
 
 def linearly_independent(ps) -> bool:
     """Rank of the coefficient matrix by Gauss-Jordan elimination over the

@@ -28,7 +28,7 @@ from diffrad.generators import (
     random_mason_tuple,
     random_poly,
 )
-from diffrad.mason import _coprime_hypothesis
+from diffrad.mason import KRONECKER_MAX_M, _coprime_hypothesis, _det_bareiss
 
 
 def test_casoratian_known_values(tower):
@@ -42,8 +42,7 @@ def test_casoratian_known_values(tower):
 
 
 # Degrees d_1..d_m: m up to 5, so m(m-1)/2 is odd (m = 2, 3) and even
-# (m = 4, 5); constants; and d_j < m - 1, where Delta^(m-1) p_j vanishes and
-# the first pivot must be found in a later row.
+# (m = 4, 5); constants; and d_j < m - 1, where Delta^(m-1) p_j vanishes.
 DEGREE_PATTERNS = [
     (0, 1), (0, 0), (3, 0),
     (0, 1, 2), (1, 0, 4), (0, 0, 3), (2, 1, 1),
@@ -55,7 +54,9 @@ DEGREE_PATTERNS = [
 @pytest.mark.parametrize("m, divisions", [(2, 0), (3, 1), (4, 5)])
 def test_bareiss_divides_by_no_constant_one(tower, monkeypatch, m, divisions):
     """Round k of Bareiss divides (m-1-k)^2 entries by the previous pivot;
-    round 0 has none, so sum_{k=1}^{m-2} (m-1-k)^2 exact divisions remain."""
+    round 0 has none, so sum_{k=1}^{m-2} (m-1-k)^2 exact divisions remain.
+    Bareiss runs on the Delta rows, bottom row first, as casoratian does
+    above its size rule."""
     calls = []
     divide_exact = Polynomial.divide_exact
 
@@ -63,11 +64,15 @@ def test_bareiss_divides_by_no_constant_one(tower, monkeypatch, m, divisions):
         calls.append(d)
         return divide_exact(p, d)
 
-    monkeypatch.setattr(Polynomial, "divide_exact", spy)
     z = Polynomial.variable(tower)
     ps = [z, z * z + 1, z ** 3 - 2, z ** 4 + z][:m]
-    det = casoratian(ps, 1)
+    rows = [ps]
+    for _ in range(1, m):
+        rows.append([q.delta(1) for q in rows[-1]])
+    monkeypatch.setattr(Polynomial, "divide_exact", spy)
+    det = _det_bareiss(rows[::-1])
     monkeypatch.undo()
+    det = -det if m * (m - 1) // 2 % 2 else det
     assert det == naive_poly.casoratian(ps, 1) and not det.is_zero()
     assert len(calls) == divisions
 
@@ -92,15 +97,14 @@ def test_casoratian_matches_cofactor_expansion(tower):
 
 
 def test_casoratian_matches_cofactor_expansion_on_every_tower(any_tower):
-    """The Delta rows and Bareiss against cofactors of the shifted rows, on
+    """The Kronecker determinant against cofactors of the shifted rows, on
     every test tower, with a rational and an irrational kappa (the top root,
     whose basis table has a denominator in the tden tower).  Distinct degrees
-    make the inputs independent, so no determinant is zero; degrees below
-    m - 1 zero some of the first pivot candidates."""
+    make the inputs independent, so no determinant is zero."""
     t = any_tower
     rng = random.Random(73)
     for k in (t.rational(Fraction(-3, 2)), t.sqrt_gen(t.depth - 1) + Fraction(1, 3)):
-        for m in range(1, 5):
+        for m in range(1, 6):
             ps = []
             for d in rng.sample(range(5), m):
                 coeffs = [random_element(rng, t, 3, 0.4) for _ in range(d + 1)]
@@ -108,6 +112,83 @@ def test_casoratian_matches_cofactor_expansion_on_every_tower(any_tower):
                 ps.append(Polynomial(t, coeffs))
             det = casoratian(ps, k)
             assert det == naive_poly.casoratian(ps, k) and not det.is_zero(), (m, k)
+
+
+@pytest.mark.parametrize("m", [KRONECKER_MAX_M, KRONECKER_MAX_M + 1])
+def test_casoratian_on_both_sides_of_the_size_rule(tower, monkeypatch, m):
+    """m = M runs the Kronecker determinant and m = M + 1 Bareiss on the
+    Delta rows; both agree with the scalar determinants of the shifted
+    entries at more points than C's degree bound (cofactors would take m!
+    products).  Degrees below m - 1 zero some of Bareiss's first pivot
+    candidates."""
+    routes = []
+
+    def spy(name):
+        real = getattr(diffrad.mason, name)
+
+        def run(*args):
+            routes.append(name)
+            return real(*args)
+
+        return run
+
+    for name in ("_casoratian_kronecker", "_det_bareiss"):
+        monkeypatch.setattr(diffrad.mason, name, spy(name))
+    rng = random.Random(79)
+    for k in (tower.rational(Fraction(1, 2)), tower.sqrt_gen(2) - 1):
+        ps = []
+        for d in rng.sample(range(m + 2), m):
+            coeffs = [random_element(rng, tower, 2, 0.2) for _ in range(d + 1)]
+            coeffs[-1] = coeffs[-1] or tower.one
+            ps.append(Polynomial(tower, coeffs))
+        cas = casoratian(ps, k)
+        bound = sum(int(p.degree) for p in ps) - m * (m - 1) // 2
+        assert not cas.is_zero() and cas.degree <= bound
+        for x in range(bound + 1):
+            assert naive_poly.eval_at(cas, x) == naive_poly.casoratian_value(ps, k, x), (k, x)
+    side = "_casoratian_kronecker" if m <= KRONECKER_MAX_M else "_det_bareiss"
+    assert routes == [side, side]
+
+
+def test_casoratian_of_subfield_input_on_a_depth_8_tower(tower):
+    """Inputs from the default tower lifted into the depth-8 tower of the
+    CLI's five --adjoin flags: most of the 256 coordinates are zero.  The
+    answer is the subtower's Casoratian lifted, and cofactors agree."""
+    deep = tower
+    for d in (5, 7, 11, 13, 17):
+        deep = deep.adjoin_sqrt(d)
+    rng = random.Random(83)
+    ps = []
+    for d in (1, 3, 4):
+        coeffs = [random_element(rng, tower, 3, 0.5) for _ in range(d + 1)]
+        coeffs[-1] = coeffs[-1] or tower.one
+        ps.append(Polynomial(tower, coeffs))
+
+    def lift(p):
+        return Polynomial(deep, [c.lift_to(deep) for c in p.coeffs])
+
+    lifted = [lift(p) for p in ps]
+    for k in (tower.rational(Fraction(-1, 3)), tower.sqrt_gen(0) + 2):
+        assert casoratian(lifted, k.lift_to(deep)) == lift(casoratian(ps, k))
+    root5 = deep.sqrt_gen(3)
+    det = casoratian(lifted, root5)
+    assert det == naive_poly.casoratian(lifted, root5) and not det.is_zero()
+
+
+@pytest.mark.parametrize(
+    "kappa, degree, c",
+    [(1, 3, 3**40), (Fraction(1, 2), 5, -(3**37))],
+    ids=["kappa=1", "kappa=1/2"],
+)
+def test_kronecker_bound_is_tight_at_one_term(tower, kappa, degree, c):
+    """m = 1 and p = c*z^d with c rational: the entry is c * s^d * X^d, and
+    the bound H = |c| * s^d is that digit itself.  Its 64 bits need a second
+    64-bit word for the sign; a bound one bit short would read the digit
+    back wrong."""
+    s = Fraction(kappa).denominator * tower._tden
+    assert (abs(c) * s**degree).bit_length() == 64
+    p = Polynomial(tower, [0] * degree + [c])
+    assert casoratian([p], kappa) == p
 
 
 def test_determinant_routes_agree_on_matrices(tower):

@@ -153,6 +153,36 @@ def test_eval_and_ord_at_roots(tower):
         assert p.ord_at(probe) == f.ord_at(probe)
 
 
+def test_ord_at_falls_back_to_horner_where_the_image_vanishes(tower, monkeypatch):
+    """ord_at answers 0 from the tower's first F_p image where that image
+    proves p(w) != 0, with no tower arithmetic.  At w + ell, for a root w,
+    the image vanishes although p does not, so the exact Horner passes must
+    answer 0; so must they at a point with ell in its denominator."""
+    image = next(modular.images(tower))
+    ell = image.p
+    w = 1 + tower.sqrt_gen(1)
+    p = FactoredPoly(tower.one, [(w, 2), (tower.rational(-3), 1)]).expand()
+    shifted = w + ell
+    assert not p.eval_at(shifted).is_zero()
+    residues = modular._branch0(p.coeffs, image)
+    assert modular.eval_mod(residues, modular._branch0((shifted,), image)[0], ell) == 0
+
+    steps = []
+    real = diffrad.poly.muladd
+
+    def spy(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diffrad.poly, "muladd", spy)
+    assert p.ord_at(shifted) == 0 and steps
+    steps.clear()
+    assert p.ord_at(w + Fraction(1, ell)) == 0 and steps
+    steps.clear()
+    assert p.ord_at(w + 1) == 0 and not steps
+    assert p.ord_at(w) == 2
+
+
 def test_ord_at_total_is_degree_for_split_polys(tower):
     rng = random.Random(39)
     for _ in range(40):
