@@ -101,11 +101,13 @@ def _linear(num, bounds):
 # Coordinate kernels.  A vector is a tuple of integer numerators together
 # with one positive denominator; every kernel returns a canonical pair, whose
 # numerators and denominator share no factor, so equal values have equal
-# pairs.  Index s of a vector holds the coordinate of the basis element
-# e_s, the product of the roots whose bits are set in s; where a recursion
-# needs it a vector splits over the last adjoined root, x = lo + hi*sqrt(d),
-# into halves that are vectors of the subtower.  Zero numerators are skipped
-# everywhere, so elements lifted from a subtower cost what they cost there.
+# pairs (only `_product_into`, the raw accumulator under them, returns
+# nothing and leaves the caller to canonicalise).  Index s of a vector
+# holds the coordinate of the basis element e_s, the product of the roots
+# whose bits are set in s; where a recursion needs it a vector splits over
+# the last adjoined root, x = lo + hi*sqrt(d), into halves that are vectors
+# of the subtower.  Zero numerators are skipped everywhere, so elements
+# lifted from a subtower cost what they cost there.
 
 def _canon(num, den):
     g = gcd(*num, den)
@@ -138,11 +140,28 @@ def _mul(a, da, b, db, table, tden):
     return _muladd((0,) * len(a), 1, a, da, b, db, table, tden)
 
 
+def _product_into(acc, x, y, table, scale=1):
+    """acc += scale * (x*y) on integer numerator vectors, in place, over
+    the table's denominator and with no canonicalisation.
+
+    Each entry (w, c) of e_s * e_t adds (x_s * scale * c) * y_t to acc[w]:
+    the small factors first, so a big y costs one big-by-small product per
+    entry.  This is the one loop over basis-table products; `_muladd`,
+    `FactoredPoly.expand` and the Kronecker Casoratian call it.
+    """
+    for u, row in zip(x, table):
+        if u:
+            u *= scale
+            for v, terms in zip(y, row):
+                if v:
+                    for w, c in terms:
+                        acc[w] += u * c * v
+
+
 def _muladd(a, da, x, dx, y, dy, table, tden):
     """a + x*y with one canonicalisation: a is scaled to the product's
     denominator and the basis-table products accumulate into it."""
-    nzy = [(t, v) for t, v in enumerate(y) if v]
-    if not nzy or not any(x):
+    if not any(y) or not any(x):
         return a, da
     den = dx * dy * tden
     if any(a):
@@ -153,14 +172,7 @@ def _muladd(a, da, x, dx, y, dy, table, tden):
     else:
         fp = 1
         acc = [0] * len(a)
-    for s, u in enumerate(x):
-        if u:
-            row = table[s]
-            u *= fp
-            for t, v in nzy:
-                uv = u * v
-                for w, c in row[t]:
-                    acc[w] += uv * c
+    _product_into(acc, x, y, table, fp)
     return _canon(acc, den)
 
 
@@ -345,8 +357,9 @@ class FieldTower:
             )
         self._signs = tuple(signs)
         self._table, self._tden = _basis_table(self._gens)
-        # Largest sum of |c| over one product e_u * e_t, for each u: the
-        # coefficient bound of FactoredPoly.expand.
+        # Largest sum of |c| over one product e_u * e_t, for each u: both
+        # Kronecker bounds, FactoredPoly.expand's and the Casoratian's
+        # (mason._casoratian_kronecker).
         self._table_norms = tuple(
             [max([sum([abs(c) for _, c in terms]) for terms in row]) for row in self._table]
         )

@@ -16,7 +16,7 @@ import math
 from math import lcm
 from typing import Optional, Sequence
 
-from .field import FieldElement
+from .field import FieldElement, _product_into
 from .poly import (
     Polynomial,
     digit_limbs,
@@ -74,10 +74,15 @@ def casoratian(ps: Sequence[Polynomial], kappa) -> Polynomial:
     Row i has degree at most d_j - i in column j, so the bottom row, of the
     lowest degrees, gives the first pivot.  Its entry Delta^(m-1) p_j
     vanishes when d_j < m - 1; the pivot search steps past such zeros.
+
+    Every p_j must be of ps[0]'s tower; another raises ValueError, as in
+    every sum and product (the Kronecker route reads raw coordinates).
     """
     if not ps:
         raise ValueError("casoratian of an empty list")
     tower = ps[0].tower
+    if any(p.tower != tower for p in ps):
+        raise ValueError("casoratian of polynomials of another tower; lift_to moves them")
     kappa = require_shift(tower, kappa, "casoratian")
     if any(p.is_zero() for p in ps):
         return Polynomial.zero(tower)
@@ -122,14 +127,15 @@ def _casoratian_kronecker(ps: Sequence[Polynomial], kappa: FieldElement) -> Poly
 
         acc <- acc * (s*X + K_i) + c_k * s**(n_j - k),   k = n_j - 1, ..., 0,
 
-    from acc = c_(n_j), where K_i * acc is the basis-table product (whose
-    denominator is tden), gives integer coordinate vectors A_ij with
-    p_j(X + i*kappa) = A_ij / (D_j * s**n_j): no gcd and no FieldElement,
-    and multiplying by X is a shift.  Each column keeps one denominator, so
-    the determinant of the A_ij, by Laplace expansion down the rows with the
-    minors of the lower rows shared by column set (`_det_minors`), is
-    L * C(X) for L = tden**(m-1) * prod_j D_j * s**n_j: each of its
-    products of m entries takes m - 1 table products.  As X is a variable
+    from acc = c_(n_j), where K_i * acc is the basis-table product
+    (`field._product_into`; its denominator is tden), gives integer
+    coordinate vectors A_ij with p_j(X + i*kappa) = A_ij / (D_j * s**n_j):
+    no gcd and no FieldElement, and multiplying by X is a shift.  Each
+    column keeps one denominator, so the determinant of the A_ij, by Laplace
+    expansion down the rows with the minors of the lower rows shared by
+    column set (`_det_minors`), is L * C(X) for
+    L = tden**(m-1) * prod_j D_j * s**n_j: each of its products of m
+    entries takes m - 1 table products.  As X is a variable
     throughout, coordinate t of it is P_t(X) for integer polynomials P_t
     with C = sum_t P_t e_t / L, and P_t has degree at most sum_j n_j.
 
@@ -155,8 +161,7 @@ def _casoratian_kronecker(ps: Sequence[Polynomial], kappa: FieldElement) -> Poly
     table, tden, norms = tower._table, tower._tden, tower._table_norms
     m = len(ps)
     s = kappa._den * tden
-    steps = [(table[u], k) for u, k in enumerate(kappa._num) if k]
-    grow = s + (m - 1) * sum([abs(k) * norms[u] for u, k in enumerate(kappa._num) if k])
+    grow = s + (m - 1) * sum([abs(k) * norms[u] for u, k in enumerate(kappa._num)])
     bound = math.factorial(m) * max(norms) ** (m - 1)
     den = tden ** (m - 1)
     columns = []
@@ -169,27 +174,22 @@ def _casoratian_kronecker(ps: Sequence[Polynomial], kappa: FieldElement) -> Poly
         columns.append(coeffs)
     limbs = digit_limbs(bound)
     shift = limbs << 6
-    rows = [[_horner_at_x(c, i, steps, s, shift) for c in columns] for i in range(m)]
+    rows = [[_horner_at_x(c, i, kappa._num, table, s, shift) for c in columns] for i in range(m)]
     det = _det_minors(rows, table)
     return unpack_columns(tower, det, sum([len(c) - 1 for c in columns]) + 1, limbs, den)
 
 
-def _horner_at_x(coeffs: list, i: int, steps: list, s: int, shift: int) -> list:
+def _horner_at_x(coeffs: list, i: int, knum: tuple, table, s: int, shift: int) -> list:
     """The integer vector (D * s**n) * p(X + i*kappa), X = 2**shift, from the
-    numerator vectors of p's coefficients (see `_casoratian_kronecker`)."""
+    numerator vectors of p's coefficients and kappa's numerators knum (see
+    `_casoratian_kronecker`)."""
     acc = list(coeffs[-1])
     power = 1
     for c in reversed(coeffs[:-1]):
         power *= s
         out = [(a * s) << shift for a in acc]
         if i:
-            for row, k in steps:
-                k *= i
-                for a, entries in zip(acc, row):
-                    if a:
-                        ka = k * a
-                        for w, v in entries:
-                            out[w] += ka * v
+            _product_into(out, knum, acc, table, i)
         for t, x in enumerate(c):
             if x:
                 out[t] += x * power
@@ -198,7 +198,8 @@ def _horner_at_x(coeffs: list, i: int, steps: list, s: int, shift: int) -> list:
 
 
 def _det_minors(rows: list, table) -> list:
-    """det of a square matrix of integer coordinate vectors, with table products.
+    """det of a square matrix of integer coordinate vectors, with table
+    products (`field._product_into`).
 
     Laplace expansion down the rows: the minor on the last k rows and the
     column set S (a bit mask) is the sum over j in S of
@@ -210,23 +211,13 @@ def _det_minors(rows: list, table) -> list:
     for row in reversed(rows[:-1]):
         grown: dict = {}
         for mask, minor in minors.items():
-            low = [(t, v) for t, v in enumerate(minor) if v]
             for j, a in enumerate(row):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                acc = grown.get(mask | bit)
-                if acc is None:
-                    acc = grown[mask | bit] = [0] * dim
-                negate = bin(mask & (bit - 1)).count("1") & 1
-                for u, x in enumerate(a):
-                    if x:
-                        x = -x if negate else x
-                        entries = table[u]
-                        for t, v in low:
-                            xv = x * v
-                            for w, c in entries[t]:
-                                acc[w] += xv * c
+                acc = grown.setdefault(mask | bit, [0] * dim)
+                sign = -1 if bin(mask & (bit - 1)).count("1") & 1 else 1
+                _product_into(acc, a, minor, table, sign)
         minors = {mask: acc for mask, acc in grown.items() if any(acc)}
     return minors.get((1 << len(rows)) - 1) or [0] * dim
 

@@ -23,7 +23,7 @@ from .errors import (
     ZeroPolynomialError,
     ZeroShiftError,
 )
-from .field import FieldElement, FieldTower, _canon, _make, muladd
+from .field import FieldElement, FieldTower, _canon, _make, _product_into, muladd
 
 NEG_INF = float("-inf")
 
@@ -608,9 +608,8 @@ class FactoredPoly:
             c * (z - root) = (s*z*c - R*c) / (s*den),
 
         where R*c is the basis-table product (its denominator is tden).  So a
-        step shifts and scales each column, and each entry (w, v) of
-        e_u * e_t subtracts R_u * v times column t from column w: one
-        multiply-subtract per entry, on integers.
+        step shifts and scales each column and subtracts R*c by
+        `field._product_into`, on integers.
 
         The packed arithmetic is exact, so only the final coefficients must
         fit their B-bit digits.  A step multiplies the sum of the absolute
@@ -623,25 +622,19 @@ class FactoredPoly:
         tower = self.tower
         table, tden, norms = tower._table, tower._tden, tower._table_norms
         bound = sum([abs(x) for x in self.leading._num])
-        steps = []
-        for root, mult in self.factors:
-            terms = [(table[u], r) for u, r in enumerate(root._num) if r]
-            scale = root._den * tden
-            grow = scale + sum([abs(r) * norms[u] for u, r in enumerate(root._num) if r])
+        factors = self.factors
+        for root, mult in factors:
+            grow = root._den * tden + sum([abs(r) * norms[u] for u, r in enumerate(root._num)])
             bound *= grow**mult
-            steps.append((terms, scale, mult))
         limbs = digit_limbs(bound)
         shift = limbs << 6
         den = self.leading._den
         cols = list(self.leading._num)
-        for terms, scale, mult in steps:
+        for root, mult in factors:
+            scale = root._den * tden
             for _ in range(mult):
                 out = [col * scale << shift for col in cols]
-                for row, r in terms:
-                    for col, entries in zip(cols, row):
-                        if col:
-                            for w, cw in entries:
-                                out[w] -= r * cw * col
+                _product_into(out, root._num, cols, table, -1)
                 cols = out
                 den *= scale
         return unpack_columns(tower, cols, self.degree + 1, limbs, den)

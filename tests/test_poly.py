@@ -15,9 +15,11 @@ from diffrad import (
     FactoredPoly,
     FieldTower,
     Polynomial,
+    casoratian,
     diff_radical_m,
     divisor_of,
     gcd,
+    linearly_independent,
     modular,
     multi_gcd,
     shift_gcd_factor,
@@ -840,8 +842,9 @@ def test_shift_window_excess_matches_brute_force(any_tower):
 
 @pytest.mark.parametrize("radicand", [-1, 5], ids=["Q(i)", "Q(sqrt5)"])
 def test_arithmetic_takes_one_home_tower(tower, radicand):
-    """Sums, products, divisions, gcds, divisors and shifts take operands of
-    one tower in either order; only equality compares across towers, and
+    """Sums, products, divisions, gcds, divisors, shifts and Casoratians
+    (m = 2 and m = 10, both sides of the size rule) take operands of one
+    tower in either order; only equality compares across towers, and
     lift_to is the one way into a larger tower."""
     sub = FieldTower.rationals().adjoin_sqrt(radicand)
     p = Polynomial(tower, (tower.sqrt_gen(1), 1))
@@ -852,6 +855,9 @@ def test_arithmetic_takes_one_home_tower(tower, radicand):
             lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b),
             lambda: gcd(a, b), lambda: u + v, lambda: u - v, lambda: u * v, lambda: u / v,
             lambda: Divisor(a.tower, [(v, 1)]), lambda: require_shift(a.tower, v, "test"),
+            lambda: casoratian([a, b], 1), lambda: linearly_independent([a, b]),
+            lambda: casoratian([a + k for k in range(9)] + [b], 1),
+            lambda: linearly_independent([a + k for k in range(9)] + [b]),
         )
         for call in calls:
             with pytest.raises(ValueError):
