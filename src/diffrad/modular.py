@@ -20,8 +20,13 @@ reconstruction.  The gcd or chain runs once per distinct image: it depends
 only on p and the residues, so branches whose residues coincide share it.
 Input from a subfield makes whole groups of branches coincide.  Nothing
 here proves a candidate; the callers in `poly` do, by exact division over
-the tower.  `Polynomial.ord_at` reads branch 0 of the first image alone: a
-nonzero value of the image there proves a nonzero value over the tower.
+the tower.
+
+The shifts of the chain and the values of `Polynomial.ord_at` come from one
+loop of Horner passes over residues, `_taylor`, the F_p twin of
+`poly._taylor`.  `ord_at` reads branch 0 of the first image alone: a nonzero
+value of the image there, its first Taylor coefficient, proves a nonzero
+value over the tower.
 
 Everything here runs on raw integer coordinates and touches no FieldElement
 arithmetic.  The suitable primes of a tower are found lazily, by a scan
@@ -223,14 +228,6 @@ def _all_branches(coeffs, image: Image):
     return list(zip(*columns))
 
 
-def eval_mod(c: list, x: int, p: int) -> int:
-    """c(x) in F_p, by Horner on a residue list (ascending)."""
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * x + a) % p
-    return acc
-
-
 def gcd_mod(a: list, b: list, p: int) -> list:
     """Monic gcd in F_p[z] of two residue lists (ascending) with nonzero leads."""
     if len(a) < len(b):
@@ -254,14 +251,17 @@ def gcd_mod(a: list, b: list, p: int) -> list:
     return a
 
 
-def shift_mod(c: list, k: int, p: int) -> list:
-    """c(z + k) in F_p[z]: the Horner scheme of `Polynomial.taylor_shift`."""
+def _taylor(c: list, x: int, p: int):
+    """Yield the Taylor coefficients at x of a residue list (ascending), one
+    pass each: the passes of `poly._taylor` in F_p.  The first is c(x), and
+    all of them are c(z + x).  This is the one loop of Horner passes over
+    residues: `_shift_chain` and `Polynomial.ord_at` read it.
+    """
     c = list(c)
-    top = len(c) - 1
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            c[j] = (c[j] + k * c[j + 1]) % p
-    return c
+    for i in range(len(c)):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = (c[j] + x * c[j + 1]) % p
+        yield c[i]
 
 
 def _shift_chain(g: list, k: int, m: int, p: int) -> list:
@@ -273,7 +273,7 @@ def _shift_chain(g: list, k: int, m: int, p: int) -> list:
     for _ in range(1, m):
         if len(g) == 1:
             break
-        g = gcd_mod(g, shift_mod(g, k, p), p)
+        g = gcd_mod(g, list(_taylor(g, k, p)), p)
     return g
 
 

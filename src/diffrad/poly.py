@@ -235,27 +235,12 @@ class Polynomial:
     # -- calculus on the kappa-lattice ---------------------------------------
 
     def eval_at(self, x: CoeffLike) -> FieldElement:
-        x = self.tower._coerce(x)
-        acc = self.tower.zero
-        for c in reversed(self.coeffs):
-            acc = muladd(c, acc, x)
-        return acc
+        """p(x): the first Taylor coefficient at x (see `_taylor`)."""
+        return next(_taylor(self.coeffs, self.tower._coerce(x)), self.tower.zero)
 
     def taylor_shift(self, kappa: CoeffLike) -> "Polynomial":
-        """p(z + kappa), exactly.
-
-        Horner's scheme in place on one coefficient list (von zur Gathen and
-        Gerhard, Fast algorithms for Taylor shifts and certain difference
-        equations, 1997): pass i adds kappa * c[j+1] to c[j] for j from the
-        top down to i, n(n+1)/2 fused steps for degree n.
-        """
-        kappa = self.tower._coerce(kappa)
-        c = list(self.coeffs)
-        top = len(c) - 1
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                c[j] = muladd(c[j], kappa, c[j + 1])
-        return Polynomial(self.tower, c)
+        """p(z + kappa), exactly: every Taylor coefficient at kappa (see `_taylor`)."""
+        return Polynomial(self.tower, _taylor(self.coeffs, self.tower._coerce(kappa)))
 
     def delta(self, kappa: CoeffLike) -> "Polynomial":
         """Forward difference p(z + kappa) - p(z); kappa must be nonzero."""
@@ -277,8 +262,10 @@ class Polynomial:
         that of w, p(w) is ell-integral and phi(p(w)) = phi(p)(phi(w)); if
         that is nonzero, so is p(w), and the order is 0.  This is the
         ring-map argument of `gcd`'s coprimality proof.  phi(p) is computed
-        once per polynomial.  Where the image vanishes, or ell divides a
-        denominator, Horner passes over the tower decide.
+        once per polynomial, and phi(p)(phi(w)) is the first Taylor
+        coefficient of `modular._taylor`.  Where the image vanishes, or ell
+        divides a denominator, the exact answer is the index of the first
+        nonzero Taylor coefficient of p at w (`_taylor`, one pass each).
         """
         if self.is_zero():
             raise ZeroPolynomialError("order at a point is undefined for the zero polynomial")
@@ -289,23 +276,9 @@ class Polynomial:
         except AttributeError:
             residues = self._image = modular._branch0(self.coeffs, image)
         x = None if residues is None else modular._branch0((w,), image)
-        if x is not None and modular.eval_mod(residues, x[0], image.p):
+        if x is not None and next(modular._taylor(residues, x[0], image.p)):
             return 0
-        coeffs = list(self.coeffs)
-        order = 0
-        while True:
-            # Horner pass produces quotient by (z - w) and the remainder p(w).
-            quot = []
-            acc = self.tower.zero
-            for c in reversed(coeffs):
-                acc = muladd(c, acc, w)
-                quot.append(acc)
-            if not acc.is_zero():
-                return order
-            order += 1
-            coeffs = list(reversed(quot[:-1]))
-            if not coeffs:
-                return order
+        return next(i for i, b in enumerate(_taylor(self.coeffs, w)) if b)
 
     def __repr__(self):
         from .parser import print_poly
@@ -316,6 +289,26 @@ class Polynomial:
         from .parser import print_poly
 
         return print_poly(self)
+
+
+def _taylor(coeffs: Sequence[FieldElement], x: FieldElement):
+    """Yield b_0, b_1, ..., the Taylor coefficients of p at x, one pass each:
+    p(z + x) = sum b_i z**i, so b_0 = p(x) and b_i = p^(i)(x) / i!.
+
+    Horner's scheme in place on one coefficient list (von zur Gathen and
+    Gerhard, Fast algorithms for Taylor shifts and certain difference
+    equations, 1997): pass i adds x * c[j+1] to c[j] for j from the top down
+    to i, which leaves b_i in c[i] and the quotient of the remaining
+    polynomial by (z - x) above it.  All passes take n(n+1)/2 fused steps for
+    degree n; a caller that stops at b_i pays for passes 0 to i alone.  This
+    is the one loop of Horner passes over tower coefficients: `eval_at`,
+    `taylor_shift` and `ord_at` read it.
+    """
+    c = list(coeffs)
+    for i in range(len(c)):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = muladd(c[j], x, c[j + 1])
+        yield c[i]
 
 
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:

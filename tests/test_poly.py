@@ -167,7 +167,7 @@ def test_ord_at_falls_back_to_horner_where_the_image_vanishes(tower, monkeypatch
     shifted = w + ell
     assert not p.eval_at(shifted).is_zero()
     residues = modular._branch0(p.coeffs, image)
-    assert modular.eval_mod(residues, modular._branch0((shifted,), image)[0], ell) == 0
+    assert next(modular._taylor(residues, modular._branch0((shifted,), image)[0], ell)) == 0
 
     steps = []
     real = diffrad.poly.muladd
@@ -325,7 +325,9 @@ def _dense(rng, t, n):
 def test_muladd_equals_add_of_product(any_tower):
     t = any_tower
     rng = random.Random(41)
-    samples = [t.zero, t.one, -t.one, t.sqrt_gen(t.depth - 1)]
+    # 1/7 has a denominator prime to every table denominator here, so an
+    # accumulator of 1/7 is rescaled to the product's denominator.
+    samples = [t.zero, t.one, -t.one, t.sqrt_gen(t.depth - 1), t.rational(Fraction(1, 7))]
     samples += [random_element(rng, t, 5, 0.8) for _ in range(40)]
     for _ in range(400):
         acc, x, y = (rng.choice(samples) for _ in range(3))
